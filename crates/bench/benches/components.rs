@@ -137,6 +137,13 @@ fn bench_machine(c: &mut Criterion) {
     c.bench_function("cost_estimate_reference_gemm", |b| {
         b.iter(|| estimate_cost_reference(&gemm, &cfg).unwrap())
     });
+    // The same gemm tiled at 8: short leaf loops under min/max bounds,
+    // the shape of most search candidates (the engine's integer-exact
+    // leaf path).
+    let tiled_gemm = tile_band(&gemm, &[0], 3, 8).unwrap();
+    c.bench_function("cost_estimate_engine_tiled_gemm", |b| {
+        b.iter(|| CostEngine::new().estimate(&tiled_gemm, &cfg).unwrap())
+    });
     c.bench_function("cache_sim_1m_accesses", |b| {
         b.iter_batched(
             || {

@@ -468,8 +468,9 @@ fn cost_bits(r: &Result<CostReport, CostError>) -> String {
 }
 
 /// The cost-model section: pins the memoizing `CostEngine` bit-for-bit
-/// against `estimate_cost_reference` over a strided kernel sweep —
-/// including `InstanceBudget` exhaustion under a starved budget —
+/// against `estimate_cost_reference` over a strided kernel sweep and
+/// the parallelized and tiled variants it times — including
+/// `InstanceBudget` exhaustion under a starved budget —
 /// (hard-asserted even in quick mode, matching the other determinism
 /// pins), then times the campaign scoring shape on both paths: several
 /// arms each scoring the original, a parallelized and a tiled variant
@@ -491,32 +492,43 @@ fn costmodel_snapshot(quick: bool) -> CostModel {
     let mut starved = MachineConfig::gcc();
     starved.instance_budget = 20_000;
 
+    let variants: Vec<(Program, Option<Program>, Option<Program>)> = kernels
+        .iter()
+        .map(|b| {
+            let p = b.program();
+            let par = parallelize(&p, &[0]).ok();
+            let tiled = tile_band(&p, &[0], 2, 8).ok();
+            (p, par, tiled)
+        })
+        .collect();
+
     eprintln!(
-        "[perf_snapshot] costmodel: pin over {} kernels (stride {stride})...",
+        "[perf_snapshot] costmodel: pin over {} kernels (stride {stride}) and their variants...",
         kernels.len()
     );
     let mut pinned = 0usize;
     let pin_engine = CostEngine::new();
-    for b in &kernels {
-        let p = b.program();
-        for machine in [&cfg, &starved] {
-            let reference = estimate_cost_reference(&p, machine);
-            let fresh = pin_engine.estimate(&p, machine);
-            assert_eq!(
-                cost_bits(&fresh),
-                cost_bits(&reference),
-                "cost engine diverged from the reference model on {}",
-                b.name
-            );
-            // The cached answer must carry the exact same bits.
-            let hit = pin_engine.estimate(&p, machine);
-            assert_eq!(
-                cost_bits(&hit),
-                cost_bits(&reference),
-                "cached cost diverged from the reference model on {}",
-                b.name
-            );
-            pinned += 1;
+    for (b, (p, par, tiled)) in kernels.iter().zip(&variants) {
+        for program in std::iter::once(p).chain(par).chain(tiled) {
+            for machine in [&cfg, &starved] {
+                let reference = estimate_cost_reference(program, machine);
+                let fresh = pin_engine.estimate(program, machine);
+                assert_eq!(
+                    cost_bits(&fresh),
+                    cost_bits(&reference),
+                    "cost engine diverged from the reference model on {}",
+                    b.name
+                );
+                // The cached answer must carry the exact same bits.
+                let hit = pin_engine.estimate(program, machine);
+                assert_eq!(
+                    cost_bits(&hit),
+                    cost_bits(&reference),
+                    "cached cost diverged from the reference model on {}",
+                    b.name
+                );
+                pinned += 1;
+            }
         }
     }
 
@@ -527,15 +539,6 @@ fn costmodel_snapshot(quick: bool) -> CostModel {
         "[perf_snapshot] costmodel: {arms} arms x {} kernels x 3 variants...",
         kernels.len()
     );
-    let variants: Vec<(Program, Option<Program>, Option<Program>)> = kernels
-        .iter()
-        .map(|b| {
-            let p = b.program();
-            let par = parallelize(&p, &[0]).ok();
-            let tiled = tile_band(&p, &[0], 2, 8).ok();
-            (p, par, tiled)
-        })
-        .collect();
     let mut estimates = 0usize;
     let engine = CostEngine::new();
     let t0 = Instant::now();

@@ -1,6 +1,11 @@
-//! Set-associative LRU cache simulation.
-
-use std::hash::{Hash, Hasher};
+//! Set-associative LRU cache simulation: the reference simulator.
+//!
+//! [`CacheLevel`] and [`Hierarchy`] are the straightforward
+//! `Vec<Vec<u64>>` tag-stack model that
+//! [`estimate_cost_reference`](crate::estimate_cost_reference) and
+//! [`CacheObserver`](crate::CacheObserver) run on. The cost engine
+//! simulates on its own flat layout (`flat_cache`), so the engine-vs-
+//! reference pin also cross-checks the two simulators.
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,57 +89,11 @@ impl CacheLevel {
         self.misses = 0;
     }
 
-    /// Full mutable state: tag stacks (in LRU order) plus counters.
-    pub(crate) fn state(&self) -> LevelState {
-        LevelState {
-            sets: self.sets.clone(),
-            hits: self.hits,
-            misses: self.misses,
-        }
+    /// Set `set`'s tag stack, least recently used first.
+    #[cfg(test)]
+    pub(crate) fn set_tags(&self, set: usize) -> &[u64] {
+        &self.sets[set]
     }
-
-    /// Restores the tag stacks from a snapshot, leaving counters alone
-    /// (the steady-state memoizer advances counters arithmetically).
-    pub(crate) fn restore_tags(&mut self, s: &LevelState) {
-        self.sets.clone_from(&s.sets);
-    }
-
-    /// Feeds the tag stacks (contents + LRU order) into a hasher.
-    pub(crate) fn hash_tags<H: Hasher>(&self, h: &mut H) {
-        self.sets.hash(h);
-    }
-
-    /// True when the live tag stacks equal the snapshot's, bit for bit.
-    pub(crate) fn tags_eq(&self, s: &LevelState) -> bool {
-        self.sets == s.sets
-    }
-
-    /// Advances the counters by precomputed deltas.
-    pub(crate) fn bump_counters(&mut self, hits: u64, misses: u64) {
-        self.hits += hits;
-        self.misses += misses;
-    }
-}
-
-/// Snapshot of one level's state, taken by the cost engine's
-/// steady-state memoizer at loop-iteration boundaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct LevelState {
-    /// Per-set tag stacks, most recently used last.
-    pub(crate) sets: Vec<Vec<u64>>,
-    /// Hit count at snapshot time.
-    pub(crate) hits: u64,
-    /// Miss count at snapshot time.
-    pub(crate) misses: u64,
-}
-
-/// Snapshot of the full two-level simulator state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct HierarchyState {
-    /// L1 state.
-    pub(crate) l1: LevelState,
-    /// L2 state.
-    pub(crate) l2: LevelState,
 }
 
 /// A two-level cache hierarchy returning the service level of each access.
@@ -175,31 +134,6 @@ impl Hierarchy {
         } else {
             ServiceLevel::Memory
         }
-    }
-
-    /// Full state snapshot of both levels.
-    pub(crate) fn state(&self) -> HierarchyState {
-        HierarchyState {
-            l1: self.l1.state(),
-            l2: self.l2.state(),
-        }
-    }
-
-    /// Restores both levels' tag stacks from a snapshot.
-    pub(crate) fn restore_tags(&mut self, s: &HierarchyState) {
-        self.l1.restore_tags(&s.l1);
-        self.l2.restore_tags(&s.l2);
-    }
-
-    /// Feeds both levels' tag stacks into a hasher.
-    pub(crate) fn hash_tags<H: Hasher>(&self, h: &mut H) {
-        self.l1.hash_tags(h);
-        self.l2.hash_tags(h);
-    }
-
-    /// True when both levels' live tag stacks equal the snapshot's.
-    pub(crate) fn tags_eq(&self, s: &HierarchyState) -> bool {
-        self.l1.tags_eq(&s.l1) && self.l2.tags_eq(&s.l2)
     }
 }
 

@@ -1,10 +1,28 @@
 //! The memoizing cost engine: fast cost estimation, bit-for-bit pinned
 //! to [`estimate_cost_reference`](crate::estimate_cost_reference).
 //!
-//! Three layers make estimates cheap without changing a single bit of
+//! Four layers make estimates cheap without changing a single bit of
 //! any result:
 //!
-//! 1. **Steady-state memoization** inside the cache simulator. At the
+//! 1. **A flat simulator and integer-exact leaf loops.** The walker
+//!    simulates on the engine-private `flat_cache` (one `Vec<u64>` of
+//!    `sets × assoc` tags per level, most recently used first, shift
+//!    and mask indexing where the geometry allows), not on the
+//!    reference [`Hierarchy`](crate::Hierarchy), so the pin against the
+//!    reference also cross-checks the two simulators. Statement costs
+//!    are built once from integer hit counts, and a loop whose body is
+//!    only statements runs one tight loop over per-access index
+//!    cursors with `u64` accumulators, converted to `f64` at the end.
+//!    Exactness: below a loop's vector or parallel division — the
+//!    first operation that can produce a fraction — every quantity the
+//!    reference adds is an integer-valued `f64` (header charges, ALU
+//!    counts, latencies). While every partial sum stays within 2^53,
+//!    each of those additions is exact, so the result is the
+//!    mathematical integer total whatever the order or grouping of
+//!    the additions. `leaf_plan` bounds every partial sum of a leaf
+//!    loop before taking the integer path, and loops whose bound could
+//!    reach 2^53 keep the per-statement additions.
+//! 2. **Steady-state memoization** inside the cache simulator. At the
 //!    iteration boundaries of *body-invariant* loops (loops whose body
 //!    never references the loop's own iterator — outer time loops of
 //!    stencils), the walker fingerprints the full simulator state (tag
@@ -15,13 +33,13 @@
 //!    counters by periodic prefix sums, so totals, hit counters and
 //!    `InstanceBudget` exhaustion points are bitwise identical to the
 //!    naive run.
-//! 2. **Dependence-analysis reuse**: [`estimate_cost_with_deps`] lets
+//! 3. **Dependence-analysis reuse**: [`estimate_cost_with_deps`] lets
 //!    callers that already hold a [`DependenceSet`] (the beam search
 //!    Arc-shares them across nodes) skip the per-estimate analysis; a
 //!    shared deps cache covers everyone else. The cost model's analysis
 //!    configuration is identical to the search's `analyze_for_search`,
 //!    which is what makes the sets interchangeable.
-//! 3. **Cross-stage cost caching**: results are memoized under
+//! 4. **Cross-stage cost caching**: results are memoized under
 //!    `(MachineConfig::fingerprint(), printed program)`, shared by the
 //!    pipeline's candidate batches, the search node table and campaign
 //!    arms. Full keys — not hashes of them — are stored, so a hash
@@ -29,16 +47,19 @@
 //!    behind a mutex and deterministic by construction: a cached result
 //!    is bitwise equal to a fresh one, so hit/miss timing (and pool
 //!    scheduling) cannot change any outcome.
+//!
+//! Fresh estimates report their work units to the metrics registry:
+//! `cost.instances_simulated` and `cost.accesses_simulated` count the
+//! statement instances and accesses actually simulated, so replayed
+//! iterations and cache hits add nothing.
 
-use crate::cache::HierarchyState;
+use crate::flat_cache::{FlatHierarchy, FlatState};
 use crate::model::{
-    cost_analysis, lower_for_cost, CostError, CostReport, CostVec, LNode, MachineConfig, Model,
+    cost_analysis, lower_for_cost, CostError, CostReport, CostVec, LAccess, LNode, MachineConfig,
 };
 use looprag_dependence::DependenceSet;
 use looprag_ir::{print_program, Program};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::Hasher;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Minimum trip count before the steady-state machinery engages on a
@@ -64,32 +85,51 @@ const COST_CACHE_CAP: usize = 8192;
 /// Dependence-cache capacity before a wholesale clear.
 const DEPS_CACHE_CAP: usize = 2048;
 
+/// Every integer of magnitude at most 2^53 is an exact `f64`, so a sum
+/// of integer-valued `f64`s whose partial sums all stay within it is
+/// exact — and therefore independent of the order of its additions.
+const F64_EXACT: u64 = 1 << 53;
+
 // ---------------------------------------------------------------------
 // The memoizing walker.
 // ---------------------------------------------------------------------
 
 /// Snapshot taken at one iteration boundary of a candidate loop: the
-/// simulator state plus every integer counter, so both the recurrence
-/// check and the periodic counter advance are exact.
+/// simulator state (with its hit counters) plus the walker's own
+/// counters, so both the recurrence check and the periodic counter
+/// advance are exact.
 struct Boundary {
     tag_hash: u64,
-    state: HierarchyState,
+    state: FlatState,
     instances: u64,
-    l1_hits: u64,
-    l2_hits: u64,
-    mem_accesses: u64,
     parallel_entries: u64,
 }
 
-/// The engine's walker: the reference [`Model`] plus steady-state
-/// memoization on body-invariant loops. Every arithmetic operation on
-/// the cost vectors happens in the exact order the reference performs
-/// it — replay *re-adds* the recorded per-iteration vectors rather than
-/// multiplying, because float addition does not distribute.
+/// The engine's walker: the reference walker's semantics on the flat
+/// simulator, plus integer-exact leaf loops and steady-state
+/// memoization on body-invariant loops. Every `f64` result is the one
+/// the reference's addition sequence produces — replay *re-adds* the
+/// recorded per-iteration vectors rather than multiplying, because
+/// float addition does not distribute, and integer sums stand in for
+/// addition sequences only where every partial sum is exact.
 struct MemoModel<'a> {
-    m: Model<'a>,
+    cfg: &'a MachineConfig,
+    iters: Vec<i64>,
+    caches: FlatHierarchy,
+    instances: u64,
+    parallel_entries: u64,
+    in_parallel: bool,
+    /// Accesses per statement up to which `hits × latency` stays within
+    /// [`F64_EXACT`] at every level.
+    exact_accesses: u64,
     steady_loops: u64,
     iters_replayed: u64,
+    /// Statement instances and accesses advanced by replay rather than
+    /// simulated.
+    instances_replayed: u64,
+    accesses_replayed: u64,
+    /// Scratch for [`MemoModel::run_leaf`], reused across leaf loops.
+    cursors: Vec<Cursor>,
     /// Per loop node (keyed by its address in the lowered tree, which
     /// is stable for the walk's lifetime): executions that completed
     /// without a recurrence. At [`STEADY_FAILURE_CAP`] the node runs
@@ -97,14 +137,53 @@ struct MemoModel<'a> {
     steady_failures: HashMap<usize, u32>,
 }
 
+/// `n` additions of `x` to a zero accumulator, in sequence.
+fn repeat_add(n: u64, x: f64) -> f64 {
+    let mut sum = 0.0;
+    for _ in 0..n {
+        sum += x;
+    }
+    sum
+}
+
 impl<'a> MemoModel<'a> {
     fn new(cfg: &'a MachineConfig) -> MemoModel<'a> {
+        let max_lat = cfg.lat_l1.max(cfg.lat_l2).max(cfg.lat_mem).max(1);
         MemoModel {
-            m: Model::new(cfg),
+            cfg,
+            iters: Vec::new(),
+            caches: FlatHierarchy::new(&cfg.l1, &cfg.l2),
+            instances: 0,
+            parallel_entries: 0,
+            in_parallel: false,
+            exact_accesses: F64_EXACT / max_lat,
             steady_loops: 0,
             iters_replayed: 0,
+            instances_replayed: 0,
+            accesses_replayed: 0,
+            cursors: Vec::new(),
             steady_failures: HashMap::new(),
         }
+    }
+
+    /// Packages the walked breakdown into the public report.
+    fn report(&self, breakdown: CostVec, vectorized: Vec<String>) -> CostReport {
+        CostReport {
+            cycles: breakdown.total(),
+            breakdown,
+            instances: self.instances,
+            l1_hits: self.caches.l1_hits,
+            l2_hits: self.caches.l2_hits,
+            mem_accesses: self.caches.mem_accesses,
+            vectorized,
+            parallel_entries: self.parallel_entries,
+        }
+    }
+
+    #[inline]
+    fn touch(&mut self, acc: &LAccess) {
+        let flat = acc.linear.eval(&self.iters).clamp(0, acc.max_flat);
+        self.caches.access(acc.base + flat as u64 * 8);
     }
 
     fn visit_nodes(&mut self, nodes: &[LNode]) -> Result<CostVec, CostError> {
@@ -117,27 +196,46 @@ impl<'a> MemoModel<'a> {
 
     fn visit_node(&mut self, n: &LNode) -> Result<CostVec, CostError> {
         match n {
-            // Statements are the hot leaves; the body is a verbatim
-            // copy of the reference walker's (an extra delegation call
-            // here costs ~30% on gemm-class kernels).
             LNode::Stmt { alu, accesses } => {
-                if self.m.instances >= self.m.cfg.instance_budget {
+                if self.instances >= self.cfg.instance_budget {
                     return Err(CostError::InstanceBudget);
                 }
-                self.m.instances += 1;
-                let mut cost = CostVec::default();
-                cost.alu += alu;
+                self.instances += 1;
+                let (l1, l2, mem) = (
+                    self.caches.l1_hits,
+                    self.caches.l2_hits,
+                    self.caches.mem_accesses,
+                );
                 for a in accesses {
-                    self.m.charge_access(a, &mut cost);
+                    self.touch(a);
                 }
-                Ok(cost)
+                // The reference adds one latency per access to a zero
+                // component. While `hits × latency` stays within
+                // `F64_EXACT` every partial sum is an exact integer, so
+                // one product has the same bits; past it (absurd
+                // latencies) repeat the additions.
+                let exact = accesses.len() as u64 <= self.exact_accesses;
+                let cycles = |hits: u64, lat: u64| {
+                    if exact {
+                        (hits * lat) as f64
+                    } else {
+                        repeat_add(hits, lat as f64)
+                    }
+                };
+                Ok(CostVec {
+                    alu: *alu as f64,
+                    l1: cycles(self.caches.l1_hits - l1, self.cfg.lat_l1),
+                    l2: cycles(self.caches.l2_hits - l2, self.cfg.lat_l2),
+                    mem: cycles(self.caches.mem_accesses - mem, self.cfg.lat_mem),
+                    ovh: 0.0,
+                })
             }
             LNode::If { conds, then } => {
                 let mut cost = CostVec::default();
                 cost.alu += conds.len() as f64;
                 let taken = conds
                     .iter()
-                    .all(|(l, op, r)| op.eval(l.eval(&self.m.iters), r.eval(&self.m.iters)));
+                    .all(|(l, op, r)| op.eval(l.eval(&self.iters), r.eval(&self.iters)));
                 if taken {
                     cost.add(self.visit_nodes(then)?);
                 }
@@ -155,60 +253,53 @@ impl<'a> MemoModel<'a> {
                 body_invariant,
                 body,
             } => {
-                let lbv = lb.eval(&self.m.iters);
-                let mut ubv = ub.eval(&self.m.iters);
+                let lbv = lb.eval(&self.iters);
+                let mut ubv = ub.eval(&self.iters);
                 if !inclusive {
                     ubv -= 1;
                 }
+                let header = *header_ovh as f64;
                 let mut cost = CostVec::default();
-                cost.ovh += header_ovh;
+                cost.ovh += header;
                 if ubv < lbv {
                     return Ok(cost);
                 }
                 let trips = ((ubv - lbv) / step + 1) as u64;
-                let parallel_here = *parallel && !self.m.in_parallel;
+                let parallel_here = *parallel && !self.in_parallel;
                 if parallel_here {
-                    self.m.in_parallel = true;
-                    self.m.parallel_entries += 1;
+                    self.in_parallel = true;
+                    self.parallel_entries += 1;
                 }
-                while self.m.iters.len() <= *slot {
-                    self.m.iters.push(0);
+                while self.iters.len() <= *slot {
+                    self.iters.push(0);
                 }
-                let mut body_cost = CostVec::default();
                 let node_key = n as *const LNode as usize;
+                let range = (*slot, lbv, ubv, *step);
                 let res = if *body_invariant
                     && trips >= MIN_STEADY_TRIPS
                     && self.steady_failures.get(&node_key).copied().unwrap_or(0)
                         < STEADY_FAILURE_CAP
                 {
-                    self.run_loop_steady(
-                        node_key,
-                        *slot,
-                        lbv,
-                        ubv,
-                        *step,
-                        trips,
-                        *header_ovh,
-                        body,
-                        &mut body_cost,
-                    )
+                    self.run_loop_steady(node_key, range, trips, header, body)
+                } else if let Some(plan) = leaf_plan(self.cfg, range, *header_ovh, body) {
+                    self.run_leaf(range, body, plan)
                 } else {
-                    self.run_loop_naive(*slot, lbv, ubv, *step, *header_ovh, body, &mut body_cost)
+                    self.run_loop_naive(range, header, body)
                 };
                 if parallel_here {
-                    self.m.in_parallel = false;
+                    self.in_parallel = false;
                 }
-                res?;
+                let mut body_cost = res?;
                 if let Some(factor) = vec_factor {
                     body_cost.alu /= factor;
                     body_cost.l1 /= factor;
                     body_cost.ovh /= factor;
                 }
                 if parallel_here {
-                    let ideal = (self.m.cfg.threads as f64).min(trips as f64);
-                    let p_eff = (ideal * self.m.cfg.parallel_efficiency).max(1.0);
+                    let ideal = (self.cfg.threads as f64).min(trips as f64);
+                    let p_eff = (ideal * self.cfg.parallel_efficiency).max(1.0);
                     body_cost.scale_all(1.0 / p_eff);
-                    body_cost.ovh += self.m.cfg.parallel_spawn_cycles as f64;
+                    body_cost.ovh += self.cfg.parallel_spawn_cycles as f64;
                 }
                 cost.add(body_cost);
                 Ok(cost)
@@ -216,25 +307,90 @@ impl<'a> MemoModel<'a> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors the loop-header tuple
     fn run_loop_naive(
         &mut self,
-        slot: usize,
-        lbv: i64,
-        ubv: i64,
-        step: i64,
-        header_ovh: f64,
+        (slot, lbv, ubv, step): LoopRange,
+        header: f64,
         body: &[LNode],
-        body_cost: &mut CostVec,
-    ) -> Result<(), CostError> {
+    ) -> Result<CostVec, CostError> {
+        let mut body_cost = CostVec::default();
         let mut v = lbv;
         while v <= ubv {
-            self.m.iters[slot] = v;
-            body_cost.ovh += header_ovh;
+            self.iters[slot] = v;
+            body_cost.ovh += header;
             body_cost.add(self.visit_nodes(body)?);
             v += step;
         }
-        Ok(())
+        Ok(body_cost)
+    }
+
+    /// The integer-exact path for a loop whose body is only statements
+    /// (see [`leaf_plan`] for when it applies and why it is exact).
+    ///
+    /// The naive walk sums the iterations' header charges and the
+    /// statements' integer-valued cost vectors in `f64`. With every
+    /// partial sum an integer within [`F64_EXACT`], each of those
+    /// additions is exact, so the sums equal the mathematical integer
+    /// totals — which `u64` arithmetic computes directly, converted
+    /// once at the end. Vector and parallel divisions happen above this
+    /// point, on the converted totals, exactly as in the reference.
+    ///
+    /// Only this loop's iterator changes inside it, so each access's
+    /// linear index advances by a constant per iteration; a cursor per
+    /// access replaces re-evaluating its linear form. The cursors use
+    /// wrapping arithmetic — arithmetic modulo 2^64 — so they agree with
+    /// the linear form's evaluation whenever that does not overflow, and
+    /// with its release-build wraparound when it does.
+    fn run_leaf(
+        &mut self,
+        (slot, lbv, _, step): LoopRange,
+        body: &[LNode],
+        plan: LeafPlan,
+    ) -> Result<CostVec, CostError> {
+        // Every iteration runs every statement once, so the naive walk
+        // exhausts the budget inside this loop iff the loop's instance
+        // total exceeds what is left. The error discards every number,
+        // so raising it before simulating anything is faithful.
+        let total = plan.trips as u128 * plan.stmts as u128;
+        if self.instances as u128 + total > self.cfg.instance_budget as u128 {
+            return Err(CostError::InstanceBudget);
+        }
+        self.iters[slot] = lbv;
+        let mut cursors = std::mem::take(&mut self.cursors);
+        cursors.clear();
+        for n in body {
+            if let LNode::Stmt { accesses, .. } = n {
+                cursors.extend(
+                    accesses
+                        .iter()
+                        .map(|a| Cursor::new(a, &self.iters, slot, step)),
+                );
+            }
+        }
+        let (l1, l2, mem) = (
+            self.caches.l1_hits,
+            self.caches.l2_hits,
+            self.caches.mem_accesses,
+        );
+        for _ in 0..plan.trips {
+            for c in &mut cursors {
+                let flat = c.flat.clamp(0, c.max_flat);
+                self.caches.access(c.base + flat as u64 * 8);
+                c.flat = c.flat.wrapping_add(c.delta);
+            }
+        }
+        self.cursors = cursors;
+        // Leave the iterator at its last value, as the naive loop does.
+        self.iters[slot] = lbv + (plan.trips as i64 - 1) * step;
+        self.instances += total as u64;
+        let cfg = self.cfg;
+        Ok(CostVec {
+            alu: (plan.trips * plan.alu) as f64,
+            l1: ((self.caches.l1_hits - l1) * cfg.lat_l1) as f64,
+            l2: ((self.caches.l2_hits - l2) * cfg.lat_l2) as f64,
+            mem: ((self.caches.mem_accesses - mem) * cfg.lat_mem) as f64,
+            ovh: (plan.trips * plan.header_ovh) as f64,
+        })
     }
 
     /// The steady-state path for a body-invariant loop. Simulates
@@ -248,59 +404,47 @@ impl<'a> MemoModel<'a> {
     /// boundary `k` equals the state at an earlier boundary `u`, the
     /// per-iteration cost vectors and counter deltas repeat with period
     /// `P = k - u` forever after.
-    #[allow(clippy::too_many_arguments)] // mirrors the loop-header tuple
     fn run_loop_steady(
         &mut self,
         node_key: usize,
-        slot: usize,
-        lbv: i64,
-        ubv: i64,
-        step: i64,
+        range: LoopRange,
         trips: u64,
-        header_ovh: f64,
+        header: f64,
         body: &[LNode],
-        body_cost: &mut CostVec,
-    ) -> Result<(), CostError> {
+    ) -> Result<CostVec, CostError> {
+        let (slot, lbv, ubv, step) = range;
+        let mut body_cost = CostVec::default();
         let mut boundaries: Vec<Boundary> = Vec::new();
         let mut deltas: Vec<CostVec> = Vec::new();
         let mut v = lbv;
         let mut i: u64 = 0;
         while v <= ubv {
             if (i as usize) < MAX_BOUNDARIES {
-                let mut hasher = DefaultHasher::new();
-                self.m.caches.hash_tags(&mut hasher);
-                let h = hasher.finish();
+                let h = self.caches.tag_hash();
                 // Hash prefilter, then a full tag comparison: a hash
                 // collision costs time, never correctness.
                 if let Some(u) = boundaries
                     .iter()
-                    .position(|b| b.tag_hash == h && self.m.caches.tags_eq(&b.state))
+                    .position(|b| b.tag_hash == h && self.caches.tags_eq(&b.state))
                 {
-                    return self.fast_forward(
-                        slot,
-                        lbv,
-                        step,
-                        trips,
-                        i,
+                    let cycle = Cycle {
+                        k: i,
                         u,
-                        header_ovh,
-                        &boundaries,
-                        &deltas,
-                        body_cost,
-                    );
+                        boundaries: &boundaries,
+                        deltas: &deltas,
+                    };
+                    self.fast_forward(range, trips, header, cycle, &mut body_cost)?;
+                    return Ok(body_cost);
                 }
                 boundaries.push(Boundary {
                     tag_hash: h,
-                    state: self.m.caches.state(),
-                    instances: self.m.instances,
-                    l1_hits: self.m.l1_hits,
-                    l2_hits: self.m.l2_hits,
-                    mem_accesses: self.m.mem_accesses,
-                    parallel_entries: self.m.parallel_entries,
+                    state: self.caches.state(),
+                    instances: self.instances,
+                    parallel_entries: self.parallel_entries,
                 });
             }
-            self.m.iters[slot] = v;
-            body_cost.ovh += header_ovh;
+            self.iters[slot] = v;
+            body_cost.ovh += header;
             let c = self.visit_nodes(body)?;
             body_cost.add(c);
             if (i as usize) < MAX_BOUNDARIES {
@@ -312,23 +456,22 @@ impl<'a> MemoModel<'a> {
         // Completed with no recurrence: charge a strike so a loop whose
         // state never settles stops paying for snapshots.
         *self.steady_failures.entry(node_key).or_insert(0) += 1;
-        Ok(())
+        Ok(body_cost)
     }
 
     /// Replays the remaining `trips - k` iterations of a loop whose
     /// state at boundary `k` recurred from boundary `u`.
-    #[allow(clippy::too_many_arguments)] // internal continuation of run_loop_steady
     fn fast_forward(
         &mut self,
-        slot: usize,
-        lbv: i64,
-        step: i64,
+        (slot, lbv, _, step): LoopRange,
         trips: u64,
-        k: u64,
-        u: usize,
-        header_ovh: f64,
-        boundaries: &[Boundary],
-        deltas: &[CostVec],
+        header: f64,
+        Cycle {
+            k,
+            u,
+            boundaries,
+            deltas,
+        }: Cycle<'_>,
         body_cost: &mut CostVec,
     ) -> Result<(), CostError> {
         let period = k as usize - u;
@@ -352,35 +495,29 @@ impl<'a> MemoModel<'a> {
         // `Err(InstanceBudget)` and every accumulated number is
         // discarded, so erroring here without materializing the partial
         // state is bitwise-faithful.
-        let final_instances = advance(self.m.instances, b_u.instances, b_ur.instances);
-        if final_instances > self.m.cfg.instance_budget as u128 {
+        let final_instances = advance(self.instances, b_u.instances, b_ur.instances);
+        if final_instances > self.cfg.instance_budget as u128 {
             return Err(CostError::InstanceBudget);
         }
-        self.m.instances = final_instances as u64;
-        self.m.l1_hits = advance(self.m.l1_hits, b_u.l1_hits, b_ur.l1_hits) as u64;
-        self.m.l2_hits = advance(self.m.l2_hits, b_u.l2_hits, b_ur.l2_hits) as u64;
-        self.m.mem_accesses =
-            advance(self.m.mem_accesses, b_u.mem_accesses, b_ur.mem_accesses) as u64;
-        self.m.parallel_entries = advance(
-            self.m.parallel_entries,
+        self.instances_replayed += final_instances as u64 - self.instances;
+        self.instances = final_instances as u64;
+        self.parallel_entries = advance(
+            self.parallel_entries,
             b_u.parallel_entries,
             b_ur.parallel_entries,
         ) as u64;
 
-        // The simulator's own hit/miss counters advance by the same
-        // formula; the tag arrays land where the periodic orbit says
-        // they must — the state at boundary `u + r`.
-        let (l1h, l1m) = (self.m.caches.l1.hits(), self.m.caches.l1.misses());
-        self.m.caches.l1.bump_counters(
-            (advance(l1h, b_u.state.l1.hits, b_ur.state.l1.hits) - l1h as u128) as u64,
-            (advance(l1m, b_u.state.l1.misses, b_ur.state.l1.misses) - l1m as u128) as u64,
-        );
-        let (l2h, l2m) = (self.m.caches.l2.hits(), self.m.caches.l2.misses());
-        self.m.caches.l2.bump_counters(
-            (advance(l2h, b_u.state.l2.hits, b_ur.state.l2.hits) - l2h as u128) as u64,
-            (advance(l2m, b_u.state.l2.misses, b_ur.state.l2.misses) - l2m as u128) as u64,
-        );
-        self.m.caches.restore_tags(&b_ur.state);
+        // The hit counters advance by the same formula; the tag arrays
+        // land where the periodic orbit says they must — the state at
+        // boundary `u + r`.
+        let accesses = self.caches.accesses();
+        let (s_u, s_ur) = (&b_u.state, &b_ur.state);
+        let c = &mut self.caches;
+        c.l1_hits = advance(c.l1_hits, s_u.l1_hits, s_ur.l1_hits) as u64;
+        c.l2_hits = advance(c.l2_hits, s_u.l2_hits, s_ur.l2_hits) as u64;
+        c.mem_accesses = advance(c.mem_accesses, s_u.mem_accesses, s_ur.mem_accesses) as u64;
+        c.restore_tags(s_ur);
+        self.accesses_replayed += self.caches.accesses() - accesses;
 
         // Replay the f64 additions in the exact naive sequence. The
         // iteration that ran from boundary `j` contributed `deltas[j]`;
@@ -388,16 +525,118 @@ impl<'a> MemoModel<'a> {
         // `u + (m mod P)`. No multiplying out — float addition is not
         // associative, and the pin is bitwise.
         for m in 0..remaining as usize {
-            body_cost.ovh += header_ovh;
+            body_cost.ovh += header;
             body_cost.add(deltas[u + (m % period)]);
         }
         // The naive loop leaves the iterator at its last value; nothing
         // after the loop can read this slot, but keep the state exact.
-        self.m.iters[slot] = lbv + (trips as i64 - 1) * step;
+        self.iters[slot] = lbv + (trips as i64 - 1) * step;
         self.iters_replayed += remaining;
         self.steady_loops += 1;
         Ok(())
     }
+}
+
+/// A loop execution's iterator slot and evaluated header: `(slot,
+/// first value, last value (inclusive), step)`.
+type LoopRange = (usize, i64, i64, i64);
+
+/// A recurrence found by [`MemoModel::run_loop_steady`]: the state at
+/// boundary `k` equals the state at boundary `u`.
+struct Cycle<'b> {
+    k: u64,
+    u: usize,
+    boundaries: &'b [Boundary],
+    deltas: &'b [CostVec],
+}
+
+/// One leaf-loop execution's shape: its trip count and per-iteration
+/// totals.
+#[derive(Clone, Copy)]
+struct LeafPlan {
+    trips: u64,
+    /// Statements per iteration.
+    stmts: u64,
+    /// ALU cycles per iteration.
+    alu: u64,
+    /// Header cycles per iteration.
+    header_ovh: u64,
+}
+
+/// An access's linear index inside a leaf loop, advanced per iteration.
+struct Cursor {
+    flat: i64,
+    delta: i64,
+    base: u64,
+    max_flat: i64,
+}
+
+impl Cursor {
+    /// The cursor for `a` at the current iteration vector, advancing by
+    /// `step` on iterator `slot`.
+    fn new(a: &LAccess, iters: &[i64], slot: usize, step: i64) -> Cursor {
+        let (mut flat, mut delta) = (a.linear.constant, 0i64);
+        for &(s, coeff) in &a.linear.terms {
+            flat = flat.wrapping_add(coeff.wrapping_mul(iters[s]));
+            if s == slot {
+                delta = delta.wrapping_add(coeff.wrapping_mul(step));
+            }
+        }
+        Cursor {
+            flat,
+            delta,
+            base: a.base,
+            max_flat: a.max_flat,
+        }
+    }
+}
+
+/// Plans the integer-exact path for one execution of a loop whose body
+/// is only statements (`None` for any other loop).
+///
+/// Below the loop's vector or parallel division — the first operation
+/// that can produce a fraction — every quantity the naive walk adds is
+/// an integer-valued `f64`: header charges, statement ALU counts and
+/// latencies. The walk's partial sums per component are bounded by the
+/// component's loop total, and every loop total is at most
+/// `trips × (header + Σ over statements of (alu + accesses × max
+/// latency))`. When that bound is within [`F64_EXACT`], every addition
+/// is exact, so integer accumulation yields the identical bits in any
+/// order. The bound is computed, not configured: where it could reach
+/// 2^53 — absurd latencies, trip counts or ALU weights — the loop takes
+/// the per-statement path instead.
+fn leaf_plan(
+    cfg: &MachineConfig,
+    (_, lbv, ubv, step): LoopRange,
+    header_ovh: u64,
+    body: &[LNode],
+) -> Option<LeafPlan> {
+    // The trip count, computed without overflow, and a last increment
+    // that cannot overflow either — otherwise the naive `while` loop's
+    // iteration count is not this closed form.
+    if step <= 0 || body.is_empty() || ubv.checked_add(step).is_none() {
+        return None;
+    }
+    let trips = u64::try_from(ubv.checked_sub(lbv)? / step).ok()? + 1;
+    let max_lat = u128::from(cfg.lat_l1.max(cfg.lat_l2).max(cfg.lat_mem));
+    let mut plan = LeafPlan {
+        trips,
+        stmts: 0,
+        alu: 0,
+        header_ovh,
+    };
+    let mut per_iter = u128::from(header_ovh);
+    for n in body {
+        let LNode::Stmt { alu, accesses } = n else {
+            return None;
+        };
+        plan.stmts += 1;
+        plan.alu = plan.alu.checked_add(*alu)?;
+        per_iter = per_iter
+            .saturating_add(u128::from(*alu))
+            .saturating_add((accesses.len() as u128).saturating_mul(max_lat));
+    }
+    (u128::from(trips).saturating_mul(per_iter) <= u128::from(F64_EXACT)).then_some(plan)
 }
 
 // ---------------------------------------------------------------------
@@ -421,6 +660,12 @@ pub struct CostEngineStats {
     pub steady_loops: u64,
     /// Loop iterations replayed instead of simulated per-access.
     pub iters_replayed: u64,
+    /// Statement instances the walker simulated (replayed ones
+    /// excluded).
+    pub instances_simulated: u64,
+    /// Array accesses the walker fed through the cache simulator
+    /// (replayed ones excluded).
+    pub accesses_simulated: u64,
 }
 
 /// Cached handles into the global [`looprag_trace`] metrics registry,
@@ -435,6 +680,8 @@ struct EngineMetrics {
     deps_computed: looprag_trace::Counter,
     steady_loops: looprag_trace::Counter,
     iters_replayed: looprag_trace::Counter,
+    instances_simulated: looprag_trace::Counter,
+    accesses_simulated: looprag_trace::Counter,
 }
 
 fn engine_metrics() -> &'static EngineMetrics {
@@ -448,6 +695,8 @@ fn engine_metrics() -> &'static EngineMetrics {
             deps_computed: r.counter("cost.deps_computed"),
             steady_loops: r.counter("cost.steady_loops"),
             iters_replayed: r.counter("cost.iters_replayed"),
+            instances_simulated: r.counter("cost.instances_simulated"),
+            accesses_simulated: r.counter("cost.accesses_simulated"),
         }
     })
 }
@@ -462,7 +711,7 @@ struct EngineInner {
 }
 
 /// The memoizing, cross-stage cost engine. See the module docs for the
-/// three layers; the determinism contract is that every result is
+/// four layers; the determinism contract is that every result is
 /// bitwise identical to [`crate::estimate_cost_reference`], cached or
 /// not, at any pool size.
 pub struct CostEngine {
@@ -638,7 +887,7 @@ impl CostEngine {
 }
 
 /// One fresh estimate through the memoizing walker, folding the
-/// steady-state counters into the engine's stats.
+/// steady-state and work-unit counters into the engine's stats.
 fn compute_fresh(
     p: &Program,
     cfg: &MachineConfig,
@@ -648,15 +897,23 @@ fn compute_fresh(
     let prepared = lower_for_cost(p, cfg, deps)?;
     let mut model = MemoModel::new(cfg);
     let walked = model.visit_nodes(&prepared.lowered);
+    let instances = model.instances - model.instances_replayed;
+    let accesses = model.caches.accesses() - model.accesses_replayed;
     {
         let mut inner = engine.inner.lock().expect("cost engine lock");
-        inner.stats.steady_loops += model.steady_loops;
-        inner.stats.iters_replayed += model.iters_replayed;
-        engine_metrics().steady_loops.add(model.steady_loops);
-        engine_metrics().iters_replayed.add(model.iters_replayed);
+        let stats = &mut inner.stats;
+        stats.steady_loops += model.steady_loops;
+        stats.iters_replayed += model.iters_replayed;
+        stats.instances_simulated += instances;
+        stats.accesses_simulated += accesses;
+        let metrics = engine_metrics();
+        metrics.steady_loops.add(model.steady_loops);
+        metrics.iters_replayed.add(model.iters_replayed);
+        metrics.instances_simulated.add(instances);
+        metrics.accesses_simulated.add(accesses);
     }
     let breakdown = walked?;
-    Ok(model.m.report(breakdown, prepared.vectorized))
+    Ok(model.report(breakdown, prepared.vectorized))
 }
 
 /// Estimates the cost of running `p` on `cfg` through the process-wide
@@ -665,9 +922,10 @@ fn compute_fresh(
 ///
 /// # Errors
 ///
-/// Returns [`CostError::InstanceBudget`] when the simulated instance
-/// budget is exhausted (the harness reports this as a timeout) and
-/// [`CostError::Unbound`] for malformed programs.
+/// As [`crate::estimate_cost_reference`]: [`CostError::InstanceBudget`]
+/// when the simulated instance budget is exhausted (the harness reports
+/// this as a timeout), [`CostError::Unbound`] for malformed programs and
+/// [`CostError::Overflow`] for arrays or subscripts too large to lay out.
 pub fn estimate_cost(p: &Program, cfg: &MachineConfig) -> Result<CostReport, CostError> {
     CostEngine::global().estimate(p, cfg)
 }

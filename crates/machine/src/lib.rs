@@ -6,10 +6,11 @@
 //! Speedups reported by the experiment harness are ratios of
 //! [`estimate_cost`] results.
 //!
-//! Production estimates run through the memoizing [`CostEngine`]
-//! (steady-state cache-simulator memoization, dependence-analysis
-//! reuse, cross-stage cost caching), bit-for-bit pinned to the naive
-//! [`estimate_cost_reference`] walker.
+//! Production estimates run through the memoizing [`CostEngine`] (a
+//! flat cache simulator with integer-exact leaf loops, steady-state
+//! memoization, dependence-analysis reuse, cross-stage cost caching),
+//! bit-for-bit pinned to the naive [`estimate_cost_reference`] walker,
+//! which keeps the reference [`Hierarchy`] simulator.
 //!
 //! ```
 //! use looprag_machine::{estimate_cost, MachineConfig};
@@ -26,6 +27,7 @@
 
 mod cache;
 mod engine;
+mod flat_cache;
 mod model;
 mod observer;
 

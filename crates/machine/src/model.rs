@@ -21,10 +21,13 @@
 //! ratios of estimated cycles.
 //!
 //! This module is the *reference* implementation: a straight-line
-//! simulation with no caching. The production entry point is
+//! simulation with no caching, on the reference cache simulator
+//! ([`Hierarchy`] / [`CacheLevel`](crate::CacheLevel), which nothing
+//! else in the cost path uses any more). The production entry point is
 //! [`crate::estimate_cost`], the [`crate::CostEngine`]-backed path that
-//! is pinned bit-for-bit against this one (shared lowering lives here;
-//! the memoizing walker lives in `engine`).
+//! is pinned bit-for-bit against this one. Lowering is shared and lives
+//! here; the memoizing walker and its flat cache simulator live in
+//! `engine` and `flat_cache`, so the pin cross-checks both simulators.
 
 use crate::cache::{CacheGeometry, Hierarchy, ServiceLevel};
 use looprag_dependence::{analyze_with, AnalysisConfig, DependenceSet};
@@ -260,6 +263,9 @@ pub enum CostError {
     InstanceBudget,
     /// A bound referenced an unbound symbol.
     Unbound(String),
+    /// An array's layout or a subscript's linear index does not fit the
+    /// cost model's 64-bit address arithmetic (the payload says which).
+    Overflow(String),
 }
 
 impl fmt::Display for CostError {
@@ -267,6 +273,12 @@ impl fmt::Display for CostError {
         match self {
             CostError::InstanceBudget => write!(f, "cost model instance budget exhausted"),
             CostError::Unbound(s) => write!(f, "unbound symbol '{s}' in cost model"),
+            CostError::Overflow(s) => {
+                write!(
+                    f,
+                    "{s} overflows the cost model's 64-bit address arithmetic"
+                )
+            }
         }
     }
 }
@@ -345,7 +357,7 @@ pub(crate) enum LNode {
         step: i64,
         parallel: bool,
         vec_factor: Option<f64>,
-        header_ovh: f64,
+        header_ovh: u64,
         /// True when nothing under this loop — subscripts, `if`
         /// conditions or nested bounds — references the loop's own
         /// iterator slot. For such loops every iteration replays the
@@ -361,7 +373,7 @@ pub(crate) enum LNode {
         then: Vec<LNode>,
     },
     Stmt {
-        alu: f64,
+        alu: u64,
         accesses: Vec<LAccess>,
     },
 }
@@ -401,10 +413,23 @@ struct Lowerer<'a> {
     extents: &'a HashMap<String, Vec<i64>>,
     vec_info: &'a HashMap<Vec<usize>, VecInfo>,
     slots: Vec<String>,
-    errors: Vec<String>,
+    /// The first lowering error, if any.
+    error: Option<CostError>,
 }
 
-impl Lowerer<'_> {
+/// Element count of an array with extents `ext`, or `None` when the
+/// product overflows `i64`.
+fn element_count(ext: &[i64]) -> Option<i64> {
+    ext.iter()
+        .try_fold(1i64, |acc, e| acc.checked_mul(*e))
+        .map(|n| n.max(1))
+}
+
+impl<'a> Lowerer<'a> {
+    fn fail(&mut self, e: CostError) {
+        self.error.get_or_insert(e);
+    }
+
     fn lin(&mut self, e: &looprag_ir::AffineExpr) -> LinForm {
         let mut constant = e.constant_term();
         let mut terms = Vec::new();
@@ -412,9 +437,12 @@ impl Lowerer<'_> {
             if let Some(slot) = self.slots.iter().rposition(|s| s == sym) {
                 terms.push((slot, coeff));
             } else if let Some(v) = self.params.get(sym) {
-                constant += coeff * v;
+                match coeff.checked_mul(*v).and_then(|t| constant.checked_add(t)) {
+                    Some(c) => constant = c,
+                    None => self.fail(CostError::Overflow(format!("the expression '{e}'"))),
+                }
             } else {
-                self.errors.push(sym.to_string());
+                self.fail(CostError::Unbound(sym.to_string()));
             }
         }
         LinForm { constant, terms }
@@ -431,35 +459,49 @@ impl Lowerer<'_> {
 
     fn access(&mut self, a: &looprag_ir::Access) -> Option<LAccess> {
         let base = *self.bases.get(&a.array)?;
-        let extents = self.extents.get(&a.array)?.clone();
-        // Collapse multi-dimensional subscripts into one linear element
-        // index using the (constant) row strides.
+        let extents: &'a HashMap<String, Vec<i64>> = self.extents;
+        let extents = extents.get(&a.array)?;
+        let Some(linear) = self.linear_index(a, extents) else {
+            self.fail(CostError::Overflow(format!(
+                "a subscript of array '{}'",
+                a.array
+            )));
+            return None;
+        };
+        Some(LAccess {
+            base,
+            linear,
+            // The layout pass already rejected arrays whose element
+            // count overflows.
+            max_flat: element_count(extents)? - 1,
+        })
+    }
+
+    /// Collapses multi-dimensional subscripts into one linear element
+    /// index using the (constant) row strides; `None` on overflow.
+    fn linear_index(&mut self, a: &looprag_ir::Access, extents: &[i64]) -> Option<LinForm> {
         let mut linear = LinForm {
             constant: 0,
             terms: Vec::new(),
         };
         let mut row = 1i64;
-        for (dim, ext) in a.indexes.iter().zip(&extents).rev() {
+        for (dim, ext) in a.indexes.iter().zip(extents).rev() {
             let f = self.lin(dim);
-            linear.constant += f.constant * row;
+            linear.constant = linear.constant.checked_add(f.constant.checked_mul(row)?)?;
             for (slot, coeff) in f.terms {
+                let term = coeff.checked_mul(row)?;
                 if let Some(t) = linear.terms.iter_mut().find(|(s, _)| *s == slot) {
-                    t.1 += coeff * row;
+                    t.1 = t.1.checked_add(term)?;
                 } else {
-                    linear.terms.push((slot, coeff * row));
+                    linear.terms.push((slot, term));
                 }
             }
-            row *= ext;
+            row = row.checked_mul(*ext)?;
         }
-        let elems: i64 = extents.iter().product::<i64>().max(1);
-        Some(LAccess {
-            base,
-            linear,
-            max_flat: elems - 1,
-        })
+        Some(linear)
     }
 
-    fn lower(&mut self, nodes: &[Node], path: &mut Vec<usize>, ovh: f64) -> Vec<LNode> {
+    fn lower(&mut self, nodes: &[Node], path: &mut Vec<usize>, ovh: u64) -> Vec<LNode> {
         let mut out = Vec::new();
         for (i, n) in nodes.iter().enumerate() {
             path.push(i);
@@ -482,7 +524,7 @@ impl Lowerer<'_> {
                         accesses.push(a);
                     }
                     out.push(LNode::Stmt {
-                        alu: (s.rhs.alu_cost() + 1) as f64,
+                        alu: s.rhs.alu_cost() + 1,
                         accesses,
                     });
                 }
@@ -524,20 +566,22 @@ impl Lowerer<'_> {
     }
 }
 
-pub(crate) struct Model<'a> {
-    pub(crate) cfg: &'a MachineConfig,
-    pub(crate) iters: Vec<i64>,
-    pub(crate) caches: Hierarchy,
-    pub(crate) instances: u64,
-    pub(crate) l1_hits: u64,
-    pub(crate) l2_hits: u64,
-    pub(crate) mem_accesses: u64,
-    pub(crate) parallel_entries: u64,
-    pub(crate) in_parallel: bool,
+/// The reference walker: every statement instance and access, in
+/// program order, through the reference [`Hierarchy`].
+struct Model<'a> {
+    cfg: &'a MachineConfig,
+    iters: Vec<i64>,
+    caches: Hierarchy,
+    instances: u64,
+    l1_hits: u64,
+    l2_hits: u64,
+    mem_accesses: u64,
+    parallel_entries: u64,
+    in_parallel: bool,
 }
 
 impl<'a> Model<'a> {
-    pub(crate) fn new(cfg: &'a MachineConfig) -> Model<'a> {
+    fn new(cfg: &'a MachineConfig) -> Model<'a> {
         Model {
             cfg,
             iters: Vec::new(),
@@ -552,7 +596,7 @@ impl<'a> Model<'a> {
     }
 
     /// Packages the walked breakdown into the public report.
-    pub(crate) fn report(&self, breakdown: CostVec, vectorized: Vec<String>) -> CostReport {
+    fn report(&self, breakdown: CostVec, vectorized: Vec<String>) -> CostReport {
         CostReport {
             cycles: breakdown.total(),
             breakdown,
@@ -566,7 +610,7 @@ impl<'a> Model<'a> {
     }
 
     #[inline]
-    pub(crate) fn charge_access(&mut self, acc: &LAccess, cost: &mut CostVec) {
+    fn charge_access(&mut self, acc: &LAccess, cost: &mut CostVec) {
         let flat = acc.linear.eval(&self.iters).clamp(0, acc.max_flat);
         let addr = acc.base + flat as u64 * 8;
         match self.caches.access(addr) {
@@ -585,7 +629,7 @@ impl<'a> Model<'a> {
         }
     }
 
-    pub(crate) fn visit_nodes(&mut self, nodes: &[LNode]) -> Result<CostVec, CostError> {
+    fn visit_nodes(&mut self, nodes: &[LNode]) -> Result<CostVec, CostError> {
         let mut cost = CostVec::default();
         for n in nodes {
             cost.add(self.visit_node(n)?);
@@ -593,7 +637,7 @@ impl<'a> Model<'a> {
         Ok(cost)
     }
 
-    pub(crate) fn visit_node(&mut self, n: &LNode) -> Result<CostVec, CostError> {
+    fn visit_node(&mut self, n: &LNode) -> Result<CostVec, CostError> {
         match n {
             LNode::Stmt { alu, accesses } => {
                 if self.instances >= self.cfg.instance_budget {
@@ -601,7 +645,7 @@ impl<'a> Model<'a> {
                 }
                 self.instances += 1;
                 let mut cost = CostVec::default();
-                cost.alu += alu;
+                cost.alu += *alu as f64;
                 for a in accesses {
                     self.charge_access(a, &mut cost);
                 }
@@ -635,6 +679,7 @@ impl<'a> Model<'a> {
                 if !inclusive {
                     ubv -= 1;
                 }
+                let header_ovh = *header_ovh as f64;
                 let mut cost = CostVec::default();
                 cost.ovh += header_ovh;
                 if ubv < lbv {
@@ -707,14 +752,15 @@ fn stmts_under<'a>(n: &'a Node, out: &mut Vec<&'a looprag_ir::Statement>) {
 
 /// Element stride of `acc` with respect to iterator `iter`, under the
 /// given extents: the change in flattened index per unit step of `iter`.
-fn stride_of(acc: &looprag_ir::Access, iter: &str, extents: &[i64]) -> i64 {
+/// `None` when it overflows `i64` (lowering then rejects the program).
+fn stride_of(acc: &looprag_ir::Access, iter: &str, extents: &[i64]) -> Option<i64> {
     let mut stride = 0i64;
     let mut row = 1i64;
     for (dim, ext) in acc.indexes.iter().zip(extents).rev() {
-        stride += dim.coeff(iter) * row;
-        row *= ext;
+        stride = stride.checked_add(dim.coeff(iter).checked_mul(row)?)?;
+        row = row.checked_mul(*ext)?;
     }
-    stride
+    Some(stride)
 }
 
 fn bound_is_messy(b: &Bound) -> bool {
@@ -773,8 +819,7 @@ fn vectorization_map(
                 let Some(ext) = extents.get(&a.array) else {
                     continue;
                 };
-                let st = stride_of(a, &l.iter, ext);
-                if st.abs() > 1 {
+                if !matches!(stride_of(a, &l.iter, ext), Some(-1..=1)) {
                     clean = false;
                 }
             }
@@ -839,11 +884,21 @@ pub(crate) fn lower_for_cost(
             .iter()
             .map(|d| d.eval(&|s| params.get(s).copied()).unwrap_or(1).max(1))
             .collect();
-        let elems: i64 = ext.iter().product::<i64>().max(1);
+        // Checked: a huge declared extent must be a clean rejection, not
+        // a debug-build panic or a wrapped (nonsense) address.
+        let end = element_count(&ext)
+            .and_then(|elems| (elems as u64).checked_mul(8))
+            .and_then(|bytes| bytes.checked_next_multiple_of(64))
+            .and_then(|bytes| next_base.checked_add(bytes)?.checked_add(64));
+        let Some(end) = end else {
+            return Err(CostError::Overflow(format!(
+                "the layout of array '{}'",
+                a.name
+            )));
+        };
         bases.insert(a.name.clone(), next_base);
         extents.insert(a.name.clone(), ext);
-        let bytes = (elems as u64 * 8).div_ceil(64) * 64;
-        next_base += bytes + 64;
+        next_base = end;
     }
 
     let vec_info = vectorization_map(p, deps, &extents, cfg);
@@ -867,12 +922,12 @@ pub(crate) fn lower_for_cost(
         extents: &extents,
         vec_info: &vec_info,
         slots: Vec::new(),
-        errors: Vec::new(),
+        error: None,
     };
     let mut path = Vec::new();
-    let lowered = lowerer.lower(&p.body, &mut path, cfg.loop_overhead as f64);
-    if let Some(sym) = lowerer.errors.into_iter().next() {
-        return Err(CostError::Unbound(sym));
+    let lowered = lowerer.lower(&p.body, &mut path, cfg.loop_overhead);
+    if let Some(e) = lowerer.error {
+        return Err(e);
     }
     Ok(Prepared {
         lowered,
@@ -892,8 +947,10 @@ pub(crate) fn lower_for_cost(
 /// # Errors
 ///
 /// Returns [`CostError::InstanceBudget`] when the simulated instance
-/// budget is exhausted (the harness reports this as a timeout) and
-/// [`CostError::Unbound`] for malformed programs.
+/// budget is exhausted (the harness reports this as a timeout),
+/// [`CostError::Unbound`] for malformed programs and
+/// [`CostError::Overflow`] for arrays or subscripts too large to lay
+/// out in a 64-bit address space.
 pub fn estimate_cost_reference(p: &Program, cfg: &MachineConfig) -> Result<CostReport, CostError> {
     let deps = cost_analysis(p);
     let prepared = lower_for_cost(p, cfg, &deps)?;

@@ -1,6 +1,7 @@
 //! Bitwise pin of the memoizing [`CostEngine`] against the reference
-//! cost model, across every suite kernel, randomly synthesized
-//! programs, starved instance budgets, and concurrent use.
+//! cost model, across every suite kernel, tiled and parallelized
+//! variants, randomly synthesized programs, starved instance budgets,
+//! a non-power-of-two cache geometry, and concurrent use.
 //!
 //! The engine's contract is *bit-for-bit* equality with
 //! [`estimate_cost_reference`]: identical `cycles` and breakdown
@@ -10,12 +11,14 @@
 //! tests hard-assert that contract; any drift is a correctness bug,
 //! not a tolerance question.
 
+use looprag::looprag_ir::{compile, Program};
 use looprag::looprag_machine::{
-    estimate_cost_reference, CostEngine, CostError, CostReport, MachineConfig,
+    estimate_cost_reference, CacheGeometry, CostEngine, CostError, CostReport, MachineConfig,
 };
 use looprag::looprag_runtime::par_map;
 use looprag::looprag_suites::all_benchmarks;
 use looprag::looprag_synth::{generate_example, LoopParams};
+use looprag::looprag_transform::{parallelize, tile_band};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -167,6 +170,103 @@ proptest! {
                 prop_assert_eq!(&bits(&engine.estimate(&p, &cfg)), &expect);
                 // Cache hit must replay the identical result, Ok or Err.
                 prop_assert_eq!(&bits(&engine.estimate(&p, &cfg)), &expect);
+            }
+        }
+    }
+}
+
+/// A few suite kernels, every `stride`-th one.
+fn kernel_stride(stride: usize) -> Vec<(String, Program)> {
+    all_benchmarks()
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % stride == 0)
+        .map(|(_, b)| (format!("{}/{}", b.suite, b.name), b.program()))
+        .collect()
+}
+
+/// Pins a fresh estimate and a cache hit of `p` to the reference.
+fn pin(engine: &CostEngine, name: &str, p: &Program, cfg: &MachineConfig) {
+    let expect = bits(&estimate_cost_reference(p, cfg));
+    assert_eq!(bits(&engine.estimate(p, cfg)), expect, "{name}: fresh");
+    assert_eq!(bits(&engine.estimate(p, cfg)), expect, "{name}: cache hit");
+}
+
+/// The shapes the integer-exact leaf path runs on: tiled nests (short
+/// leaf loops under `min`/`max`/`floord` bounds, so fractional vector
+/// factors) and parallelized nests, at a normal and a starved budget.
+#[test]
+fn tiled_and_parallelized_kernels_pin_to_reference() {
+    // Tile the outer band two deep where the nest allows, else one.
+    let tile = |p: &Program, size| {
+        tile_band(p, &[0], 2, size)
+            .or_else(|_| tile_band(p, &[0], 1, size))
+            .ok()
+    };
+    let mut variants = 0usize;
+    for (name, p) in kernel_stride(6) {
+        let shapes = [
+            ("tile4", tile(&p, 4)),
+            ("tile32", tile(&p, 32)),
+            ("par", parallelize(&p, &[0]).ok()),
+        ];
+        for (shape, v) in shapes {
+            let Some(v) = v else { continue };
+            variants += 1;
+            for cfg in [MachineConfig::gcc(), starved(20_000)] {
+                pin(&CostEngine::new(), &format!("{name}/{shape}"), &v, &cfg);
+            }
+        }
+    }
+    assert!(variants >= 50, "only {variants} transformed variants");
+}
+
+/// A machine whose L1 and L2 set counts are not powers of two (12 and
+/// 48 sets): the flat simulator's division fallback for set and tag.
+#[test]
+fn non_power_of_two_cache_geometry_pins_to_reference() {
+    let mut cfg = MachineConfig::gcc();
+    cfg.l1 = CacheGeometry {
+        size_bytes: 3072,
+        line_bytes: 64,
+        assoc: 4,
+    };
+    cfg.l2 = CacheGeometry {
+        size_bytes: 24576,
+        line_bytes: 64,
+        assoc: 8,
+    };
+    assert_eq!((cfg.l1.sets(), cfg.l2.sets()), (12, 48));
+    let engine = CostEngine::new();
+    for (name, p) in kernel_stride(7) {
+        pin(&engine, &name, &p, &cfg);
+        if let Ok(t) = tile_band(&p, &[0], 2, 8) {
+            pin(&engine, &format!("{name}/tile8"), &t, &cfg);
+        }
+    }
+}
+
+/// Array extents whose byte layout overflows 64 bits are a clean
+/// `CostError::Overflow` on both paths — not an overflow panic (debug)
+/// or a wrapped, meaningless address (release).
+#[test]
+fn layout_overflow_is_a_clean_error_on_both_paths() {
+    let sources = [
+        "param N = 4000000000;\narray A[N][N][N];\nout A;\n#pragma scop\nfor (i = 0; i <= 3; i++) A[i][i][i] = A[i][i][i] + 1.0;\n#pragma endscop\n",
+        "param N = 9223372036854775807;\narray A[N];\nout A;\n#pragma scop\nfor (i = 0; i <= 3; i++) A[i] = A[i] + 1.0;\n#pragma endscop\n",
+    ];
+    let cfg = MachineConfig::gcc();
+    for src in sources {
+        let p = compile(src, "huge").unwrap();
+        for r in [
+            estimate_cost_reference(&p, &cfg),
+            CostEngine::new().estimate(&p, &cfg),
+        ] {
+            match r {
+                Err(e @ CostError::Overflow(_)) => {
+                    assert!(e.to_string().contains("array 'A'"), "{e}")
+                }
+                other => panic!("expected an overflow error, got {other:?}"),
             }
         }
     }
