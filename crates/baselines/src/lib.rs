@@ -24,7 +24,7 @@
 
 #![warn(missing_docs)]
 
-use looprag_dependence::{analyze_with, AnalysisConfig};
+use looprag_dependence::{analyze_for, Purpose};
 use looprag_ir::{loop_paths, Node, Program};
 use looprag_polyopt::{optimize, PolyOptions};
 use looprag_transform::{parallelize, semantics_preserving, OracleConfig};
@@ -62,16 +62,6 @@ pub struct BaselineResult {
     pub program: Option<Program>,
     /// True when the baseline changed the program.
     pub transformed: bool,
-}
-
-fn deps_of(p: &Program) -> looprag_dependence::DependenceSet {
-    analyze_with(
-        p,
-        &AnalysisConfig {
-            param_cap: looprag_ir::adaptive_sampling_cap(p, 8, 2_000_000.0),
-            instance_budget: 3_000_000,
-        },
-    )
 }
 
 /// Total iteration volume at declared sizes — Perspective's profiling
@@ -127,7 +117,7 @@ pub fn apply_baseline(which: CompilerBaseline, p: &Program) -> BaselineResult {
                 .filter(|(_, n)| matches!(n, Node::Loop(_)))
                 .map(|(i, _)| i)
                 .collect();
-            let deps = deps_of(p);
+            let deps = analyze_for(p, Purpose::Propose);
             let simple = top_loops.len() == 1
                 && p.body.len() == 1
                 && deps.deps.iter().all(|d| !d.is_loop_carried())
@@ -168,7 +158,7 @@ pub fn apply_baseline(which: CompilerBaseline, p: &Program) -> BaselineResult {
                     transformed: false,
                 };
             }
-            let deps = deps_of(p);
+            let deps = analyze_for(p, Purpose::Propose);
             for path in loop_paths(&p.body) {
                 if path.len() > 1 {
                     continue;

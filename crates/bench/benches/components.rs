@@ -3,12 +3,12 @@
 //! end-to-end pipeline on one kernel.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use looprag_dependence::{analyze, analyze_with, AnalysisConfig};
+use looprag_dependence::{analyze, analyze_for, Purpose};
 use looprag_eqcheck::{
     build_test_suite, differential_test, differential_test_reference, EqCheckConfig, PreparedTarget,
 };
 use looprag_exec::{run, run_with_store_reference, ArrayStore, CompiledProgram, ExecConfig};
-use looprag_ir::{adaptive_sampling_cap, compile, parse_program, print_program};
+use looprag_ir::{compile, parse_program, print_program};
 use looprag_machine::{
     estimate_cost, estimate_cost_reference, CacheGeometry, CacheLevel, CostEngine, MachineConfig,
 };
@@ -33,12 +33,8 @@ fn bench_dependence(c: &mut Criterion) {
     // gemm tiled at 32 by the PLuTo-style optimizer, analyzed the way
     // cost estimation analyzes candidates: sampled across two tiles.
     let tiled = optimize(&gemm, &PolyOptions::default()).program;
-    let cfg = AnalysisConfig {
-        param_cap: adaptive_sampling_cap(&tiled, 8, 3_000_000.0),
-        instance_budget: 4_000_000,
-    };
     c.bench_function("dependence_tiled_gemm", |b| {
-        b.iter(|| analyze_with(&tiled, &cfg))
+        b.iter(|| analyze_for(&tiled, Purpose::Transform))
     });
     let jacobi = find("jacobi-2d").unwrap().program();
     c.bench_function("dependence_jacobi2d", |b| b.iter(|| analyze(&jacobi)));

@@ -70,7 +70,7 @@ use looprag_machine::{
 use looprag_rank::{RankConfig, RankModel};
 use looprag_retrieval::{KnowledgeBase, RetrievalMode, Retriever};
 use looprag_search::{
-    rank_training_examples, search, search_reference, search_with_engine, SearchConfig, SearchStats,
+    rank_training_examples, search_reference, search_with_engine, SearchConfig, SearchStats,
 };
 use looprag_suites::all_benchmarks;
 use looprag_synth::{build_dataset, generate_example, LoopParams, SynthConfig};
@@ -234,8 +234,10 @@ fn flag_value(args: &[String], flag: &str, default: &str) -> String {
 /// The search section: pins the optimized `looprag-search` engine
 /// bit-for-bit against the naive reference searcher over a strided TSVC
 /// frontier, then snapshots both searchers' single-threaded wall time
-/// on that same frontier. Returns the engine-over-reference speedup
-/// (the gated number).
+/// on that same frontier. Each kernel's engine search scores through a
+/// fresh `CostEngine`, whose stats give the engine's dependence
+/// analyses. Returns the engine-over-reference speedup (the gated
+/// number).
 fn search_snapshot(quick: bool, out_path: &str) -> f64 {
     // The full frontier runs a deep budget: depth is where the node
     // table pays (the engine fixpoints while the naive reference keeps
@@ -256,12 +258,16 @@ fn search_snapshot(quick: bool, out_path: &str) -> f64 {
     let mut reference_ms = 0.0f64;
     let mut engine_stats = SearchStats::default();
     let mut reference_stats = SearchStats::default();
+    let mut engine_deps = 0u64;
     let mut improved = 0usize;
     for b in &kernels {
         let p = b.program();
+        let engine = CostEngine::new();
         let t0 = Instant::now();
-        let e = search(&p, &cfg);
+        let e = search_with_engine(&p, &cfg, &engine);
         let kernel_engine_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let kernel_engine_deps = engine.stats().deps_computed;
+        engine_deps += kernel_engine_deps;
         engine_ms += kernel_engine_ms;
         let t0 = Instant::now();
         let r = search_reference(&p, &cfg);
@@ -293,7 +299,7 @@ fn search_snapshot(quick: bool, out_path: &str) -> f64 {
             kernel_reference_ms,
             e.stats.scored,
             r.stats.scored,
-            e.stats.deps_computed,
+            kernel_engine_deps,
             r.stats.deps_computed
         );
     }
@@ -301,10 +307,10 @@ fn search_snapshot(quick: bool, out_path: &str) -> f64 {
     let n = kernels.len();
     let meta = snapshot_meta(quick);
     let json = format!(
-        "{{\n  {meta},\n  \"kernels\": {n},\n  \"stride\": {stride},\n  \"beam\": {beam},\n  \"depth\": {depth},\n  \"improved\": {improved},\n  \"engine_ms\": {engine_ms:.1},\n  \"reference_ms\": {reference_ms:.1},\n  \"search_speedup\": {search_speedup:.2},\n  \"engine_scored\": {},\n  \"reference_scored\": {},\n  \"engine_deps\": {},\n  \"reference_deps\": {},\n  \"engine_applied\": {},\n  \"reference_applied\": {},\n  \"engine_expanded\": {},\n  \"reference_expanded\": {},\n  \"expansions_reused\": {},\n  \"pruned_illegal\": {},\n  \"admitted\": {},\n  \"deps_reused\": {}\n}}\n",
+        "{{\n  {meta},\n  \"kernels\": {n},\n  \"stride\": {stride},\n  \"beam\": {beam},\n  \"depth\": {depth},\n  \"improved\": {improved},\n  \"engine_ms\": {engine_ms:.1},\n  \"reference_ms\": {reference_ms:.1},\n  \"search_speedup\": {search_speedup:.2},\n  \"engine_scored\": {},\n  \"reference_scored\": {},\n  \"engine_deps\": {},\n  \"reference_deps\": {},\n  \"engine_applied\": {},\n  \"reference_applied\": {},\n  \"engine_expanded\": {},\n  \"reference_expanded\": {},\n  \"expansions_reused\": {},\n  \"pruned_illegal\": {},\n  \"admitted\": {}\n}}\n",
         engine_stats.scored,
         reference_stats.scored,
-        engine_stats.deps_computed,
+        engine_deps,
         reference_stats.deps_computed,
         engine_stats.applied,
         reference_stats.applied,
@@ -313,7 +319,6 @@ fn search_snapshot(quick: bool, out_path: &str) -> f64 {
         engine_stats.expansions_reused,
         engine_stats.pruned_illegal,
         engine_stats.admitted,
-        engine_stats.deps_reused,
     );
     std::fs::write(out_path, &json).expect("write search snapshot");
     println!("{json}");
@@ -475,8 +480,8 @@ fn cost_bits(r: &Result<CostReport, CostError>) -> String {
 /// pins), then times the campaign scoring shape on both paths: several
 /// arms each scoring the original, a parallelized and a tiled variant
 /// of every kernel. The engine shares one cross-stage cache across
-/// arms (repeat queries are hits, the parallelized variant is scored
-/// through `estimate_with_deps`); the reference re-analyzes and
+/// arms (repeat queries are hits, and the parallelized variant reuses
+/// the original's dependence set); the reference re-analyzes and
 /// re-simulates every call. Returns the gated speedup and the cache /
 /// steady-state counters.
 fn costmodel_snapshot(quick: bool) -> CostModel {
@@ -544,12 +549,12 @@ fn costmodel_snapshot(quick: bool) -> CostModel {
     let t0 = Instant::now();
     for _arm in 0..arms {
         for (p, par, tiled) in &variants {
-            let (_, deps) = engine.estimate_full(p, &cfg);
+            let _ = std::hint::black_box(engine.estimate(p, &cfg));
             estimates += 1;
             if let Some(par) = par {
-                // Parallel marks don't change dependences: the original's
-                // analysis carries over.
-                let _ = std::hint::black_box(engine.estimate_with_deps(par, &cfg, deps));
+                // Parallel marks don't change dependences: the engine
+                // reuses the original's analysis.
+                let _ = std::hint::black_box(engine.estimate(par, &cfg));
                 estimates += 1;
             }
             if let Some(tiled) = tiled {

@@ -39,7 +39,7 @@
 //! edges by the total key `(src, dst, array, kind)` and are pinned
 //! equal under exact `==` by `tests/dependence.rs`.
 
-use looprag_ir::{Access, Bound, CmpOp, Node, NodePath, Program, Statement};
+use looprag_ir::{adaptive_sampling_cap, Access, Bound, CmpOp, Node, NodePath, Program, Statement};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
@@ -226,6 +226,30 @@ impl DependenceSet {
         true
     }
 
+    /// True when the perfect band of `depth` loops rooted at `root` —
+    /// the loops at `root`, `root ++ [0]`, `root ++ [0, 0]`, … — is
+    /// fully permutable: no dependence has a `>` or `*` component at
+    /// any of the band's levels. Rectangular tiling of the band, and
+    /// any permutation of its loops, is then legal. A band of depth 0
+    /// or 1 is trivially permutable: a lone loop has no other order,
+    /// and strip-mining it preserves the execution order exactly.
+    pub fn is_band_permutable(&self, root: &[usize], depth: usize) -> bool {
+        if depth <= 1 {
+            return true;
+        }
+        let in_band = |path: &NodePath| {
+            path.len() < root.len() + depth
+                && path.starts_with(root)
+                && path[root.len()..].iter().all(|&i| i == 0)
+        };
+        self.deps.iter().all(|d| {
+            d.common_loops
+                .iter()
+                .zip(&d.directions)
+                .all(|(path, dir)| !in_band(path) || matches!(dir, Direction::Eq | Direction::Lt))
+        })
+    }
+
     /// Counts per kind, for dataset statistics (Figure 9).
     pub fn kind_counts(&self) -> (usize, usize, usize) {
         let mut raw = 0;
@@ -256,6 +280,43 @@ impl Default for AnalysisConfig {
         AnalysisConfig {
             param_cap: 8,
             instance_budget: 2_000_000,
+        }
+    }
+}
+
+/// What a dependence set is for. Each purpose names one
+/// [`AnalysisConfig`], so every caller with the same purpose analyzes a
+/// program the same way and gets the same set. `Propose` and
+/// `Transform` differ only in the instance volume tiled code may
+/// sample, yet their sets differ on tiled code, so they stay apart
+/// (`tests/dependence.rs` records the measurement).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Purpose {
+    /// Proposing transformations: the simulated LLM's legality checks
+    /// and the baseline compilers. Tiled code is sampled across two
+    /// tiles within a volume of 2e6 (`adaptive_sampling_cap`, base 8);
+    /// budget 3M instances.
+    Propose,
+    /// Applying and scoring transformations: the search's legality
+    /// pruning, the cost model's vectorization decisions and the
+    /// polyhedral optimizer. Volume 3e6 (base 8); budget 4M instances.
+    Transform,
+    /// The Figure 9 loop-property statistics: parameters capped at 6;
+    /// budget 500k instances.
+    Stats,
+}
+
+impl Purpose {
+    /// The analysis configuration this purpose uses on `p`.
+    pub fn config(self, p: &Program) -> AnalysisConfig {
+        let (param_cap, instance_budget) = match self {
+            Purpose::Propose => (adaptive_sampling_cap(p, 8, 2_000_000.0), 3_000_000),
+            Purpose::Transform => (adaptive_sampling_cap(p, 8, 3_000_000.0), 4_000_000),
+            Purpose::Stats => (6, 500_000),
+        };
+        AnalysisConfig {
+            param_cap,
+            instance_budget,
         }
     }
 }
@@ -796,6 +857,11 @@ pub fn analyze(p: &Program) -> DependenceSet {
     analyze_with(p, &AnalysisConfig::default())
 }
 
+/// Analyzes `p` under the configuration of `purpose`.
+pub fn analyze_for(p: &Program, purpose: Purpose) -> DependenceSet {
+    analyze_with(p, &purpose.config(p))
+}
+
 /// Analyzes `p`, tracing the loop nest under scaled-down parameters and
 /// aggregating exact dependence edges.
 ///
@@ -849,6 +915,11 @@ mod tests {
         analyze(&p)
     }
 
+    const GEMM: &str = "param N = 8;\narray C[N][N];\narray A[N][N];\nout C;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) for (j = 0; j <= N - 1; j++) for (k = 0; k <= N - 1; k++) C[i][j] += A[i][k] * A[j][k];\n#pragma endscop\n";
+
+    /// `A[i][j] = A[i-1][j+1]`: directions `(<, >)`.
+    const ANTI_DIAGONAL: &str = "param N = 8;\narray A[N][N];\nout A;\n#pragma scop\nfor (i = 1; i <= N - 1; i++) for (j = 0; j <= N - 2; j++) A[i][j] = A[i - 1][j + 1] + 1.0;\n#pragma endscop\n";
+
     #[test]
     fn stream_kernel_has_no_dependences() {
         let d = deps_of(
@@ -892,9 +963,7 @@ mod tests {
     fn interchange_legality_stencil() {
         // A[i][j] = A[i-1][j+1]: distance (1, -1) => directions (<, >),
         // interchange of i and j is illegal.
-        let d = deps_of(
-            "param N = 8;\narray A[N][N];\nout A;\n#pragma scop\nfor (i = 1; i <= N - 1; i++) for (j = 0; j <= N - 2; j++) A[i][j] = A[i - 1][j + 1] + 1.0;\n#pragma endscop\n",
-        );
+        let d = deps_of(ANTI_DIAGONAL);
         let raw = d.deps.iter().find(|x| x.kind == DepKind::Raw).unwrap();
         assert_eq!(raw.directions, vec![Direction::Lt, Direction::Gt]);
         assert!(!d.is_interchange_legal(&[0], &[0, 0]));
@@ -908,9 +977,7 @@ mod tests {
         );
         assert!(d.is_interchange_legal(&[0], &[0, 0]));
         // And gemm-style: no carried dep across i or j at all.
-        let d2 = deps_of(
-            "param N = 8;\narray C[N][N];\narray A[N][N];\nout C;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) for (j = 0; j <= N - 1; j++) for (k = 0; k <= N - 1; k++) C[i][j] += A[i][k] * A[j][k];\n#pragma endscop\n",
-        );
+        let d2 = deps_of(GEMM);
         assert!(d2.is_interchange_legal(&[0], &[0, 0]));
     }
 
@@ -929,6 +996,23 @@ mod tests {
         assert!(kinds.contains(&DepKind::Raw));
         assert!(kinds.contains(&DepKind::War));
         assert!(kinds.contains(&DepKind::Waw));
+    }
+
+    #[test]
+    fn gemm_band_is_permutable() {
+        let d = deps_of(GEMM);
+        assert!(d.is_band_permutable(&[0], 3));
+        assert!(d.is_band_permutable(&[0, 0], 2));
+    }
+
+    #[test]
+    fn anti_diagonal_band_is_permutable_only_at_depth_one() {
+        let d = deps_of(ANTI_DIAGONAL);
+        assert!(!d.is_band_permutable(&[0], 2));
+        // A lone loop strip-mines legally, even the inner one, whose
+        // component is `>`.
+        assert!(d.is_band_permutable(&[0], 1));
+        assert!(d.is_band_permutable(&[0, 0], 1));
     }
 
     #[test]

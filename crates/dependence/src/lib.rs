@@ -5,6 +5,19 @@
 //! dependences, and the legality queries (parallelization, interchange)
 //! that loop transformations rely on.
 //!
+//! ## Purposes
+//!
+//! Callers ask for a dependence set by [`Purpose`], not by hand-built
+//! [`AnalysisConfig`]: [`analyze_for`]`(p, purpose)` analyzes `p` under
+//! [`Purpose::config`]. `Propose` serves the simulated LLM and the
+//! baselines, `Transform` search legality, the cost model and the
+//! polyhedral optimizer, and `Stats` the Figure 9 statistics. The crate
+//! keeps no cache: the one memo of `Transform` sets is the cost
+//! engine's in `looprag-machine`, which callers clear to make a
+//! measurement cold.
+//!
+//! ## Lowered tracer and reference
+//!
 //! [`analyze_with`] lowers the program once per call and traces the
 //! lowered form; [`analyze_with_reference`] is the direct tree walk it
 //! is pinned to, bit for bit. Each `analyze_with` call bumps the
@@ -28,7 +41,7 @@ mod analysis;
 mod reference;
 
 pub use analysis::{
-    analyze, analyze_with, scaled_params, AnalysisConfig, DepKind, Dependence, DependenceSet,
-    Direction,
+    analyze, analyze_for, analyze_with, scaled_params, AnalysisConfig, DepKind, Dependence,
+    DependenceSet, Direction, Purpose,
 };
 pub use reference::analyze_with_reference;

@@ -30,7 +30,7 @@
 use crate::compile::{CAccess, CLoop, CNode, CStmt, CompiledProgram, Op};
 use crate::coverage::Coverage;
 use crate::interp::{ExecConfig, ExecError, ExecStats, ParallelOrder};
-use crate::store::{flatten_extents, ArrayData, ArrayStore};
+use crate::store::{element_count, flatten_extents, ArrayData, ArrayStore};
 use looprag_ir::{AssignOp, BinOp, InitKind, Program};
 use std::collections::HashMap;
 
@@ -56,8 +56,9 @@ impl BatchStore {
     ///
     /// # Panics
     ///
-    /// Panics if an array extent references an undeclared parameter; run
-    /// [`looprag_ir::validate`] first.
+    /// Panics if an array extent references an undeclared parameter or
+    /// an array is too large to allocate; run [`looprag_ir::validate`]
+    /// first.
     pub fn from_program(p: &Program, lanes: usize) -> Self {
         let env = p.param_env();
         let mut store = BatchStore {
@@ -72,8 +73,8 @@ impl BatchStore {
             let extents = decl
                 .extents(&env)
                 .unwrap_or_else(|sym| panic!("unbound parameter '{sym}' in array extents"));
-            let len = extents.iter().product::<i64>().max(1) as usize;
-            let mut data = vec![0.0; len * lanes];
+            let len = element_count(&extents, 1);
+            let mut data = vec![0.0; element_count(&extents, lanes)];
             if !decl.local {
                 let init = p.init_for(&decl.name);
                 for flat in 0..len {

@@ -5,7 +5,7 @@
 //! display. The hot execution path ([`crate::CompiledProgram`]) resolves
 //! names to indexes once per run and then touches only the dense vector.
 
-use looprag_ir::{InitKind, Program};
+use looprag_ir::{checked_elements, InitKind, Program};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -20,8 +20,13 @@ pub struct ArrayData {
 
 impl ArrayData {
     /// Allocates an array of the given extents, zero-filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the element count overflows or does not fit a
+    /// `Vec<f64>`; [`looprag_ir::validate`] rejects such declarations.
     pub fn zeroed(extents: Vec<i64>) -> Self {
-        let len = extents.iter().product::<i64>().max(1) as usize;
+        let len = element_count(&extents, 1);
         ArrayData {
             extents,
             data: vec![0.0; len],
@@ -39,6 +44,15 @@ impl ArrayData {
     pub fn flatten(&self, indexes: &[i64]) -> Option<usize> {
         flatten_extents(&self.extents, indexes)
     }
+}
+
+/// [`checked_elements`], panicking with the extents when they are too
+/// large to allocate — the one sizing rule of [`ArrayData::zeroed`] and
+/// [`crate::BatchStore`].
+pub(crate) fn element_count(extents: &[i64], copies: usize) -> usize {
+    checked_elements(extents, copies).unwrap_or_else(|| {
+        panic!("{copies} copies of an array of extents {extents:?} are too large to allocate")
+    })
 }
 
 /// Row-major flattening with bounds checks — the single source of truth
@@ -81,8 +95,9 @@ impl ArrayStore {
     ///
     /// # Panics
     ///
-    /// Panics if an array extent references an undeclared parameter; run
-    /// [`looprag_ir::validate`] first.
+    /// Panics if an array extent references an undeclared parameter or
+    /// an array is too large to allocate; run [`looprag_ir::validate`]
+    /// first.
     pub fn from_program(p: &Program) -> Self {
         let env = p.param_env();
         let mut store = ArrayStore::new();
@@ -251,6 +266,12 @@ impl fmt::Display for ArrayStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "too large to allocate")]
+    fn oversized_extents_panic_descriptively() {
+        ArrayData::zeroed(vec![4_000_000_000; 3]);
+    }
 
     #[test]
     fn flatten_row_major() {

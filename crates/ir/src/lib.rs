@@ -46,8 +46,8 @@ pub use lexer::{lex, LexError, Pos, Tok, Token};
 pub use parser::{parse_program, ParseError};
 pub use printer::{print_program, print_scop};
 pub use program::{
-    adaptive_sampling_cap, has_parallel_loop, loop_paths, max_floordiv_divisor, node_at,
-    node_at_mut, ArrayDecl, InitKind, Loop, Node, NodePath, ParamDecl, Program, Statement,
+    adaptive_sampling_cap, checked_elements, has_parallel_loop, loop_paths, max_floordiv_divisor,
+    node_at, node_at_mut, ArrayDecl, InitKind, Loop, Node, NodePath, ParamDecl, Program, Statement,
 };
 pub use schedule::{padded_schedules, schedules, SchedEntry, Schedule2d1};
 pub use validate::{compile, validate, CompileError, Diag};

@@ -247,6 +247,27 @@ impl ArrayDecl {
     }
 }
 
+/// The number of `f64` elements that `copies` row-major copies of an
+/// array with `extents` occupy: the product of the extents (at least 1,
+/// so a scalar holds one element) times `copies`. `None` when that
+/// overflows or the data would exceed `isize::MAX` bytes, the most a
+/// `Vec<f64>` can hold.
+///
+/// ```
+/// use looprag_ir::checked_elements;
+/// assert_eq!(checked_elements(&[3, 4], 2), Some(24));
+/// assert_eq!(checked_elements(&[], 1), Some(1));
+/// assert_eq!(checked_elements(&[4_000_000_000; 3], 1), None);
+/// ```
+pub fn checked_elements(extents: &[i64], copies: usize) -> Option<usize> {
+    let per_copy = extents
+        .iter()
+        .try_fold(1i64, |acc, &e| acc.checked_mul(e))?
+        .max(1);
+    let n = usize::try_from(per_copy).ok()?.checked_mul(copies)?;
+    (n <= isize::MAX as usize / std::mem::size_of::<f64>()).then_some(n)
+}
+
 /// How an array is initialized before executing a program for testing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InitKind {

@@ -7,7 +7,7 @@
 
 use crate::expr::{AffineExpr, Bound, Expr};
 use crate::parser::{parse_program, ParseError};
-use crate::program::{Node, Program};
+use crate::program::{checked_elements, ArrayDecl, Node, Program};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -95,15 +95,24 @@ impl<'a> Checker<'a> {
                     a.name
                 ));
             }
+            let mut bound = true;
             for d in &a.dims {
                 for sym in d.symbols() {
                     if !seen.contains(sym) {
+                        bound = false;
                         self.diag(format!(
                             "array '{}' dimension uses undeclared parameter '{sym}'",
                             a.name
                         ));
                     }
                 }
+            }
+            if bound && !self.fits_in_memory(a) {
+                self.diag(format!(
+                    "array '{}' is too large: at the default parameter values \
+                     its element count overflows the address space",
+                    a.name
+                ));
             }
         }
         for o in &self.p.outputs {
@@ -114,6 +123,24 @@ impl<'a> Checker<'a> {
         if self.p.outputs.is_empty() {
             self.diag("program declares no output arrays ('out <name>;')".into());
         }
+    }
+
+    /// True when the elements of `a`, at the default parameter values,
+    /// fit a `Vec<f64>`. Extents evaluate in `AffineExpr::eval`'s order
+    /// with checked arithmetic, so an overflowing extent counts as not
+    /// fitting instead of wrapping.
+    fn fits_in_memory(&self, a: &ArrayDecl) -> bool {
+        let env = self.p.param_env();
+        let extents: Option<Vec<i64>> = a
+            .dims
+            .iter()
+            .map(|d| {
+                d.iter_terms().try_fold(d.constant_term(), |acc, (sym, c)| {
+                    acc.checked_add(c.checked_mul(env(sym)?)?)
+                })
+            })
+            .collect();
+        extents.is_some_and(|e| checked_elements(&e, 1).is_some())
     }
 
     fn check_affine(&mut self, e: &AffineExpr, iters: &[String], what: &str) {
@@ -328,6 +355,22 @@ mod tests {
             "{HEADER}#pragma scop\nfor (N = 0; N <= 3; N++) A[N] = 1.0;\n#pragma endscop\n"
         );
         assert!(compile_err(&src).contains("shadows a parameter"));
+    }
+
+    #[test]
+    fn rejects_arrays_too_large_to_allocate() {
+        let body = "#pragma scop\nA[0][0][0] = 1.0;\n#pragma endscop\n";
+        let huge = format!("param N = 4000000000;\narray A[N][N][N];\nout A;\n{body}");
+        let err = compile_err(&huge);
+        assert!(err.contains("array 'A' is too large"), "{err}");
+        // An extent that itself overflows, and a count that fits `i64`
+        // but not a `Vec<f64>`.
+        let wide = format!("param N = 9000000000000000000;\narray A[2 * N][1][1];\nout A;\n{body}");
+        assert!(compile_err(&wide).contains("array 'A' is too large"));
+        let big = format!("param N = 2000000000000000000;\narray A[N][1][1];\nout A;\n{body}");
+        assert!(compile_err(&big).contains("array 'A' is too large"));
+        let fine = format!("param N = 4000;\narray A[N][N][N];\nout A;\n{body}");
+        assert!(compile(&fine, "t").is_ok());
     }
 
     #[test]

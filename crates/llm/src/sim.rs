@@ -13,7 +13,7 @@
 use crate::detect::{demo_tile_size, detect_families};
 use crate::profile::LlmProfile;
 use crate::prompt::{Feedback, Prompt};
-use looprag_dependence::{analyze_with, AnalysisConfig, DependenceSet, Direction};
+use looprag_dependence::{analyze_for, Purpose};
 use looprag_ir::{
     loop_paths, node_at, parse_program, print_program, Bound, Node, NodePath, Program,
 };
@@ -161,35 +161,6 @@ impl SimLlm {
         )
     }
 
-    fn deps(p: &Program) -> DependenceSet {
-        analyze_with(
-            p,
-            &AnalysisConfig {
-                param_cap: looprag_ir::adaptive_sampling_cap(p, 8, 2_000_000.0),
-                instance_budget: 3_000_000,
-            },
-        )
-    }
-
-    fn band_permutable(deps: &DependenceSet, root: &NodePath, depth: usize) -> bool {
-        let mut paths = Vec::new();
-        let mut p = root.clone();
-        for _ in 0..depth {
-            paths.push(p.clone());
-            p.push(0);
-        }
-        for d in &deps.deps {
-            for bp in &paths {
-                if let Some(k) = d.common_loops.iter().position(|q| q == bp) {
-                    if matches!(d.directions[k], Direction::Gt | Direction::Star) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
     /// Complexity score of a kernel, driving session-level confusion:
     /// many statements, cross-iteration scalars and deep nests defeat
     /// real LLMs *consistently*, not per-sample — which is why the
@@ -305,7 +276,7 @@ impl SimLlm {
                 let step = Step::Interchange { path: path.clone() };
                 let Ok(next) = step.apply(&cur) else { continue };
                 if self.aware() {
-                    let deps = Self::deps(&cur);
+                    let deps = analyze_for(&cur, Purpose::Propose);
                     let mut inner = path.clone();
                     inner.push(0);
                     if !deps.is_interchange_legal(&path, &inner) {
@@ -326,7 +297,7 @@ impl SimLlm {
                 // too large (no locality gain).
                 [4i64, 100][self.rng.gen_range(0..2usize)]
             };
-            let deps = Self::deps(&cur);
+            let deps = analyze_for(&cur, Purpose::Propose);
             loop {
                 let mut tiled = false;
                 for path in loop_paths(&cur.body) {
@@ -344,7 +315,7 @@ impl SimLlm {
                     };
                     let mut depth = band.len();
                     if self.aware() {
-                        while depth > 1 && !Self::band_permutable(&deps, &path, depth) {
+                        while depth > 1 && !deps.is_band_permutable(&path, depth) {
                             depth -= 1;
                         }
                     }
@@ -387,7 +358,7 @@ impl SimLlm {
                 botched_pragma = true;
             }
             if self.aware() {
-                let deps = Self::deps(&cur);
+                let deps = analyze_for(&cur, Purpose::Propose);
                 let mut queue: Vec<NodePath> = (0..cur.body.len()).map(|i| vec![i]).collect();
                 while let Some(path) = queue.pop() {
                     let Some(node) = node_at(&cur.body, &path) else {

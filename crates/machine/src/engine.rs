@@ -33,12 +33,16 @@
 //!    counters by periodic prefix sums, so totals, hit counters and
 //!    `InstanceBudget` exhaustion points are bitwise identical to the
 //!    naive run.
-//! 3. **Dependence-analysis reuse**: [`estimate_cost_with_deps`] lets
-//!    callers that already hold a [`DependenceSet`] (the beam search
-//!    Arc-shares them across nodes) skip the per-estimate analysis; a
-//!    shared deps cache covers everyone else. The cost model's analysis
-//!    configuration is identical to the search's `analyze_for_search`,
-//!    which is what makes the sets interchangeable.
+//! 3. **One dependence cache.** [`CostEngine::deps`] memoizes the
+//!    [`Purpose::Transform`] set of each program under its printed
+//!    form with the parallel marks removed: the analyzer ignores
+//!    `Loop::parallel`, so a program and all its parallelized variants
+//!    share one entry. A fresh estimate takes its set from there, and
+//!    the beam search asks the same engine for the sets its legality
+//!    queries need, so a program that is scored and then expanded is
+//!    analyzed once. The cache belongs to the engine, not to
+//!    `looprag-dependence`, so [`CostEngine::clear`] or a fresh
+//!    [`CostEngine::new`] makes a measurement cold.
 //! 4. **Cross-stage cost caching**: results are memoized under
 //!    `(MachineConfig::fingerprint(), printed program)`, shared by the
 //!    pipeline's candidate batches, the search node table and campaign
@@ -54,11 +58,10 @@
 //! iterations and cache hits add nothing.
 
 use crate::flat_cache::{FlatHierarchy, FlatState};
-use crate::model::{
-    cost_analysis, lower_for_cost, CostError, CostReport, CostVec, LAccess, LNode, MachineConfig,
-};
-use looprag_dependence::DependenceSet;
-use looprag_ir::{print_program, Program};
+use crate::model::{lower_for_cost, CostError, CostReport, CostVec, LAccess, LNode, MachineConfig};
+use looprag_dependence::{analyze_for, DependenceSet, Purpose};
+use looprag_ir::{has_parallel_loop, print_program, Node, Program};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -651,8 +654,8 @@ pub struct CostEngineStats {
     pub cost_hits: u64,
     /// Cost queries computed fresh.
     pub cost_misses: u64,
-    /// Fresh computations that reused a caller-supplied or cached
-    /// dependence set instead of re-running the analysis.
+    /// Dependence-set requests (from fresh estimates and
+    /// [`CostEngine::deps`]) answered from the dependence cache.
     pub deps_reused: u64,
     /// Dependence analyses actually run.
     pub deps_computed: u64,
@@ -705,7 +708,8 @@ struct EngineInner {
     /// `(machine fingerprint, printed program)` → result. Full key
     /// strings, so cache hits cannot alias distinct inputs.
     costs: HashMap<(String, String), Result<CostReport, CostError>>,
-    /// printed program → dependence set (machine-independent).
+    /// Printed program without parallel marks → dependence set
+    /// (machine-independent).
     deps: HashMap<String, Arc<DependenceSet>>,
     stats: CostEngineStats,
 }
@@ -746,129 +750,58 @@ impl CostEngine {
     /// Estimates the cost of `p` on `cfg`; answers from the cross-stage
     /// cache when this (program, machine) pair has been scored before.
     pub fn estimate(&self, p: &Program, cfg: &MachineConfig) -> Result<CostReport, CostError> {
-        self.estimate_impl(p, cfg, None, false).0
-    }
-
-    /// [`CostEngine::estimate`] with a caller-supplied dependence set
-    /// (must describe `p` under the cost model's analysis
-    /// configuration — the search's `analyze_for_search` sets qualify,
-    /// and parallel marks do not change a program's dependences).
-    pub fn estimate_with_deps(
-        &self,
-        p: &Program,
-        cfg: &MachineConfig,
-        deps: Arc<DependenceSet>,
-    ) -> Result<CostReport, CostError> {
-        self.estimate_impl(p, cfg, Some(deps), false).0
-    }
-
-    /// [`CostEngine::estimate`], also returning the dependence set for
-    /// `p` so callers with their own legality queries (the beam search)
-    /// never analyze the same program twice.
-    pub fn estimate_full(
-        &self,
-        p: &Program,
-        cfg: &MachineConfig,
-    ) -> (Result<CostReport, CostError>, Arc<DependenceSet>) {
-        let (report, deps) = self.estimate_impl(p, cfg, None, true);
-        (
-            report,
-            deps.expect("estimate_impl resolves deps when want_deps is set"),
-        )
-    }
-
-    fn estimate_impl(
-        &self,
-        p: &Program,
-        cfg: &MachineConfig,
-        supplied: Option<Arc<DependenceSet>>,
-        want_deps: bool,
-    ) -> (Result<CostReport, CostError>, Option<Arc<DependenceSet>>) {
-        let printed = print_program(p);
-        let key = (cfg.fingerprint(), printed);
-        let supplied_deps = supplied.is_some();
-        let mut deps = supplied;
+        let key = (cfg.fingerprint(), print_program(p));
         {
             let mut inner = self.inner.lock().expect("cost engine lock");
             if let Some(hit) = inner.costs.get(&key) {
                 let hit = hit.clone();
                 inner.stats.cost_hits += 1;
                 engine_metrics().cost_hits.inc();
-                if deps.is_none() && want_deps {
-                    deps = inner.deps.get(&key.1).cloned();
-                }
-                drop(inner);
-                if want_deps && deps.is_none() {
-                    // Deps were evicted (or never cached): resolve them
-                    // outside the lock, keeping the cached report.
-                    deps = Some(self.resolve_deps(&key.1, p, None));
-                }
-                return (hit, deps);
+                return hit;
             }
             inner.stats.cost_misses += 1;
             engine_metrics().cost_misses.inc();
-            if deps.is_none() {
-                deps = inner.deps.get(&key.1).cloned();
-                if deps.is_some() {
-                    inner.stats.deps_reused += 1;
-                    engine_metrics().deps_reused.inc();
-                }
-            } else {
-                inner.stats.deps_reused += 1;
-                engine_metrics().deps_reused.inc();
-            }
         }
         // Compute outside the lock: concurrent scorers proceed in
         // parallel, and a racing duplicate insert is harmless because
         // both values are bitwise identical.
-        let deps = match deps {
-            // A caller-supplied set is also worth caching for future
-            // callers that don't hold one.
-            Some(d) if supplied_deps => self.resolve_deps(&key.1, p, Some(d)),
-            Some(d) => d,
-            None => self.resolve_deps(&key.1, p, None),
-        };
+        let deps = self.deps_under(p, &deps_key(p, &key.1));
         let report = compute_fresh(p, cfg, &deps, self);
         let mut inner = self.inner.lock().expect("cost engine lock");
         if inner.costs.len() >= COST_CACHE_CAP {
             inner.costs.clear();
         }
         inner.costs.insert(key, report.clone());
-        (report, Some(deps))
+        report
     }
 
-    /// Returns the cached dependence set for `printed`, inserting
-    /// `supplied` (or a fresh analysis of `p`) on a miss.
-    fn resolve_deps(
-        &self,
-        printed: &str,
-        p: &Program,
-        supplied: Option<Arc<DependenceSet>>,
-    ) -> Arc<DependenceSet> {
+    /// The [`Purpose::Transform`] dependence set of `p`: the set the
+    /// cost model's vectorization decisions and the search's legality
+    /// queries use. Memoized under `p`'s printed form with its parallel
+    /// marks removed — the analyzer ignores `Loop::parallel`, so a
+    /// program and all its parallelized variants share one entry.
+    pub fn deps(&self, p: &Program) -> Arc<DependenceSet> {
+        self.deps_under(p, &deps_key(p, &print_program(p)))
+    }
+
+    /// The dependence set of `p`, cached under `key`.
+    fn deps_under(&self, p: &Program, key: &str) -> Arc<DependenceSet> {
         {
             let mut inner = self.inner.lock().expect("cost engine lock");
-            if let Some(d) = inner.deps.get(printed) {
-                return d.clone();
-            }
-            if let Some(d) = supplied {
-                if inner.deps.len() >= DEPS_CACHE_CAP {
-                    inner.deps.clear();
-                }
-                inner.deps.insert(printed.to_string(), d.clone());
+            if let Some(d) = inner.deps.get(key).cloned() {
+                inner.stats.deps_reused += 1;
+                engine_metrics().deps_reused.inc();
                 return d;
             }
         }
-        let d = Arc::new(cost_analysis(p));
+        let d = Arc::new(analyze_for(p, Purpose::Transform));
         let mut inner = self.inner.lock().expect("cost engine lock");
         inner.stats.deps_computed += 1;
         engine_metrics().deps_computed.inc();
         if inner.deps.len() >= DEPS_CACHE_CAP {
             inner.deps.clear();
         }
-        inner
-            .deps
-            .entry(printed.to_string())
-            .or_insert_with(|| d.clone());
+        inner.deps.insert(key.to_string(), d.clone());
         d
     }
 
@@ -884,6 +817,29 @@ impl CostEngine {
         inner.deps.clear();
         inner.stats = CostEngineStats::default();
     }
+}
+
+/// The dependence-cache key of `p`, whose printed form is `printed`:
+/// the printed form of `p` with every parallel mark removed.
+fn deps_key<'a>(p: &Program, printed: &'a str) -> Cow<'a, str> {
+    fn unmark(nodes: &mut [Node]) {
+        for n in nodes {
+            match n {
+                Node::Loop(l) => {
+                    l.parallel = false;
+                    unmark(&mut l.body);
+                }
+                Node::If { then, .. } => unmark(then),
+                Node::Stmt(_) => {}
+            }
+        }
+    }
+    if !has_parallel_loop(p) {
+        return Cow::Borrowed(printed);
+    }
+    let mut q = p.clone();
+    unmark(&mut q.body);
+    Cow::Owned(print_program(&q))
 }
 
 /// One fresh estimate through the memoizing walker, folding the
@@ -928,20 +884,6 @@ fn compute_fresh(
 /// [`CostError::Overflow`] for arrays or subscripts too large to lay out.
 pub fn estimate_cost(p: &Program, cfg: &MachineConfig) -> Result<CostReport, CostError> {
     CostEngine::global().estimate(p, cfg)
-}
-
-/// [`estimate_cost`] with a caller-supplied dependence set, skipping
-/// the per-estimate analysis entirely.
-///
-/// # Errors
-///
-/// As [`estimate_cost`].
-pub fn estimate_cost_with_deps(
-    p: &Program,
-    cfg: &MachineConfig,
-    deps: Arc<DependenceSet>,
-) -> Result<CostReport, CostError> {
-    CostEngine::global().estimate_with_deps(p, cfg, deps)
 }
 
 #[cfg(test)]
@@ -1044,24 +986,21 @@ mod tests {
     }
 
     #[test]
-    fn with_deps_skips_analysis_and_pins() {
+    fn parallel_variants_share_one_analysis() {
         let p = compile(TIME_STENCIL, "t").unwrap();
+        let par = looprag_transform::parallelize(&p, &[0, 0]).unwrap();
         let cfg = MachineConfig::gcc();
-        let deps = Arc::new(cost_analysis(&p));
         let engine = CostEngine::new();
-        let viaarc = engine.estimate_with_deps(&p, &cfg, deps);
-        assert_eq!(bits(&viaarc), bits(&estimate_cost_reference(&p, &cfg)));
+        let plain = engine.estimate(&p, &cfg);
+        assert_eq!(bits(&plain), bits(&estimate_cost_reference(&p, &cfg)));
+        let marked = engine.estimate(&par, &cfg);
+        assert_eq!(bits(&marked), bits(&estimate_cost_reference(&par, &cfg)));
+        let deps = engine.deps(&par);
         let stats = engine.stats();
-        assert_eq!(stats.deps_computed, 0, "supplied deps must be reused");
-        assert_eq!(stats.deps_reused, 1);
-        // estimate_full hands the (cached) deps back out.
-        let (report, d2) = engine.estimate_full(&p, &cfg);
-        assert_eq!(bits(&report), bits(&viaarc));
-        assert_eq!(engine.stats().cost_hits, 1);
-        assert!(
-            Arc::strong_count(&d2) >= 2,
-            "deps should come from the cache"
-        );
+        assert_eq!(stats.cost_misses, 2);
+        assert_eq!(stats.deps_computed, 1, "parallel marks must not re-analyze");
+        assert_eq!(stats.deps_reused, 2);
+        assert!(*deps == analyze_for(&p, Purpose::Transform));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! Production estimates run through the memoizing [`CostEngine`] (a
 //! flat cache simulator with integer-exact leaf loops, steady-state
-//! memoization, dependence-analysis reuse, cross-stage cost caching),
+//! memoization, the one dependence cache, cross-stage cost caching),
 //! bit-for-bit pinned to the naive [`estimate_cost_reference`] walker,
 //! which keeps the reference [`Hierarchy`] simulator.
 //!
@@ -32,6 +32,6 @@ mod model;
 mod observer;
 
 pub use cache::{CacheGeometry, CacheLevel, Hierarchy, ServiceLevel};
-pub use engine::{estimate_cost, estimate_cost_with_deps, CostEngine, CostEngineStats};
+pub use engine::{estimate_cost, CostEngine, CostEngineStats};
 pub use model::{estimate_cost_reference, CostError, CostReport, CostVec, MachineConfig};
 pub use observer::{measure_locality, CacheObserver, LocalityReport};

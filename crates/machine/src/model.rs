@@ -30,7 +30,7 @@
 //! `engine` and `flat_cache`, so the pin cross-checks both simulators.
 
 use crate::cache::{CacheGeometry, Hierarchy, ServiceLevel};
-use looprag_dependence::{analyze_with, AnalysisConfig, DependenceSet};
+use looprag_dependence::{analyze_for, DependenceSet, Purpose};
 use looprag_ir::{loop_paths, node_at, Bound, Node, Program};
 use std::collections::HashMap;
 use std::fmt;
@@ -841,21 +841,6 @@ fn vectorization_map(
     out
 }
 
-/// The dependence analysis the cost model runs when the caller has none
-/// to share: the exact configuration of
-/// `looprag_search::analyze_for_search`, which is what makes dependence
-/// sets interchangeable between the search's legality queries and cost
-/// estimation.
-pub(crate) fn cost_analysis(p: &Program) -> DependenceSet {
-    analyze_with(
-        p,
-        &AnalysisConfig {
-            param_cap: looprag_ir::adaptive_sampling_cap(p, 8, 3_000_000.0),
-            instance_budget: 4_000_000,
-        },
-    )
-}
-
 /// A program lowered for cost simulation: the slot-indexed cost IR plus
 /// the names of the loops the model vectorized.
 pub(crate) struct Prepared {
@@ -952,7 +937,7 @@ pub(crate) fn lower_for_cost(
 /// [`CostError::Overflow`] for arrays or subscripts too large to lay
 /// out in a 64-bit address space.
 pub fn estimate_cost_reference(p: &Program, cfg: &MachineConfig) -> Result<CostReport, CostError> {
-    let deps = cost_analysis(p);
+    let deps = analyze_for(p, Purpose::Transform);
     let prepared = lower_for_cost(p, cfg, &deps)?;
     let mut model = Model::new(cfg);
     let breakdown = model.visit_nodes(&prepared.lowered)?;

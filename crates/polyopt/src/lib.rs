@@ -31,7 +31,7 @@
 
 #![warn(missing_docs)]
 
-use looprag_dependence::{analyze_with, AnalysisConfig, DependenceSet, Direction};
+use looprag_dependence::{analyze_for, DependenceSet, Purpose};
 use looprag_ir::{loop_paths, node_at, Node, NodePath, Program};
 use looprag_transform::{perfect_band, semantics_preserving, OracleConfig, Recipe, Step};
 
@@ -76,41 +76,6 @@ pub struct PolyOptResult {
     pub program: Program,
     /// The accepted steps, in application order.
     pub recipe: Recipe,
-}
-
-fn deps_of(p: &Program) -> DependenceSet {
-    analyze_with(
-        p,
-        &AnalysisConfig {
-            param_cap: looprag_ir::adaptive_sampling_cap(p, 8, 3_000_000.0),
-            instance_budget: 4_000_000,
-        },
-    )
-}
-
-/// True when the perfect band rooted at `path` with `depth` levels is
-/// fully permutable (every dependence has only `=`/`<` components there).
-fn band_tilable(deps: &DependenceSet, band_paths: &[NodePath]) -> bool {
-    for d in &deps.deps {
-        for bp in band_paths {
-            if let Some(k) = d.common_loops.iter().position(|p| p == bp) {
-                if matches!(d.directions[k], Direction::Gt | Direction::Star) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
-fn band_paths(root: &NodePath, depth: usize) -> Vec<NodePath> {
-    let mut out = Vec::new();
-    let mut p = root.clone();
-    for _ in 0..depth {
-        out.push(p.clone());
-        p.push(0);
-    }
-    out
 }
 
 /// Per-access stride goodness of making `iter` innermost: `2` per
@@ -163,14 +128,17 @@ impl Optimizer<'_> {
     /// The dependences of the current program.
     fn deps(&mut self) -> &DependenceSet {
         let current = &self.current;
-        self.deps.get_or_insert_with(|| deps_of(current))
+        self.deps
+            .get_or_insert_with(|| analyze_for(current, Purpose::Transform))
     }
 
     /// The dependences of the current program, moved out for a pass
     /// that may replace the program while still reading them; the pass
     /// puts them back if it accepts nothing.
     fn take_deps(&mut self) -> DependenceSet {
-        self.deps.take().unwrap_or_else(|| deps_of(&self.current))
+        self.deps
+            .take()
+            .unwrap_or_else(|| analyze_for(&self.current, Purpose::Transform))
     }
 
     /// Makes `next` (with dependences `deps`, when already known) the
@@ -283,7 +251,7 @@ impl Optimizer<'_> {
                     let Ok(next) = step.apply(&self.current) else {
                         continue;
                     };
-                    let ndeps = deps_of(&next);
+                    let ndeps = analyze_for(&next, Purpose::Transform);
                     let mut second = path.clone();
                     *second.last_mut().unwrap() += 1;
                     let gain = ndeps.is_parallel_legal(&path) || ndeps.is_parallel_legal(&second);
@@ -313,8 +281,7 @@ impl Optimizer<'_> {
             if band.len() != 2 {
                 continue;
             }
-            let paths = band_paths(&path, 2);
-            if band_tilable(self.deps(), &paths) {
+            if self.deps().is_band_permutable(&path, 2) {
                 continue;
             }
             // Try small positive skew factors.
@@ -326,8 +293,8 @@ impl Optimizer<'_> {
                 let Ok(next) = step.apply(&self.current) else {
                     continue;
                 };
-                let ndeps = deps_of(&next);
-                if band_tilable(&ndeps, &paths)
+                let ndeps = analyze_for(&next, Purpose::Transform);
+                if ndeps.is_band_permutable(&path, 2)
                     && semantics_preserving(&self.original, &next, &self.opts.oracle)
                 {
                     self.accept(next, step, Some(ndeps));
@@ -365,7 +332,7 @@ impl Optimizer<'_> {
                 };
                 let mut depth = band.len();
                 while depth > 1 {
-                    if band_tilable(&deps, &band_paths(&path, depth)) {
+                    if deps.is_band_permutable(&path, depth) {
                         break;
                     }
                     depth -= 1;

@@ -13,49 +13,9 @@
 //! share this exact predicate, pruning can never change *what* the
 //! search finds — only how much work finding it costs.
 
-use looprag_dependence::{analyze_with, AnalysisConfig, DependenceSet, Direction};
-use looprag_ir::{adaptive_sampling_cap, node_at, AssignOp, Node, NodePath, Program};
+use looprag_dependence::DependenceSet;
+use looprag_ir::{node_at, AssignOp, Node, NodePath, Program};
 use looprag_transform::Step;
-
-/// The dependence analysis both searchers run per program: the same
-/// adaptive scaled-down configuration the polyhedral baseline uses, so
-/// tiled candidates are observed across at least two tiles.
-pub fn analyze_for_search(p: &Program) -> DependenceSet {
-    analyze_with(
-        p,
-        &AnalysisConfig {
-            param_cap: adaptive_sampling_cap(p, 8, 3_000_000.0),
-            instance_budget: 4_000_000,
-        },
-    )
-}
-
-/// The loop paths of a perfect band rooted at `root`, outermost first.
-fn band_paths(root: &NodePath, depth: usize) -> Vec<NodePath> {
-    let mut out = Vec::new();
-    let mut p = root.clone();
-    for _ in 0..depth {
-        out.push(p.clone());
-        p.push(0);
-    }
-    out
-}
-
-/// Full permutability: every dependence has only `=`/`<` components at
-/// the band's levels, which makes rectangular tiling (and any
-/// permutation) of the band legal.
-fn band_permutable(deps: &DependenceSet, band: &[NodePath]) -> bool {
-    for d in &deps.deps {
-        for bp in band {
-            if let Some(k) = d.common_loops.iter().position(|p| p == bp) {
-                if matches!(d.directions[k], Direction::Gt | Direction::Star) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
 
 /// Statement ids contained in a subtree.
 fn subtree_stmt_ids(n: &Node) -> Vec<usize> {
@@ -163,7 +123,7 @@ pub fn step_legal(p: &Program, deps: &DependenceSet, step: &Step) -> bool {
         // Strip-mining and skewing preserve the execution order exactly;
         // removing a parallel mark only restricts schedules.
         Step::Tile { depth: 1, .. } | Step::Skew { .. } | Step::Serialize { .. } => true,
-        Step::Tile { path, depth, .. } => band_permutable(deps, &band_paths(path, *depth)),
+        Step::Tile { path, depth, .. } => deps.is_band_permutable(path, *depth),
         Step::Interchange { path } => {
             let mut inner = path.clone();
             inner.push(0);
@@ -183,11 +143,12 @@ pub fn step_legal(p: &Program, deps: &DependenceSet, step: &Step) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use looprag_dependence::{analyze_for, Purpose};
     use looprag_ir::compile;
 
     fn legal(src: &str, step: &Step) -> bool {
         let p = compile(src, "t").unwrap();
-        let deps = analyze_for_search(&p);
+        let deps = analyze_for(&p, Purpose::Transform);
         step_legal(&p, &deps, step)
     }
 
@@ -264,14 +225,14 @@ mod tests {
         let src = "param N = 16;\narray A[N];\narray B[N];\narray C[N];\nout C;\n#pragma scop\nfor (i = 1; i <= N - 1; i++) A[i] = B[i];\nfor (j = 1; j <= N - 1; j++) C[j] = C[j - 1] + 1.0;\n#pragma endscop\n";
         let p = compile(src, "t").unwrap();
         let marked = looprag_transform::parallelize(&p, &[0]).unwrap();
-        let deps = analyze_for_search(&marked);
+        let deps = analyze_for(&marked, Purpose::Transform);
         let f = Step::Fuse {
             container: vec![],
             index: 0,
         };
         assert!(!step_legal(&marked, &deps, &f));
         // The unmarked program fuses fine (the loops are independent).
-        let deps = analyze_for_search(&p);
+        let deps = analyze_for(&p, Purpose::Transform);
         assert!(step_legal(&p, &deps, &f));
         // And the admitted chain as a whole stays oracle-sound.
         use looprag_transform::{semantics_preserving, OracleConfig, StepGrid};

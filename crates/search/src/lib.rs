@@ -42,13 +42,13 @@
 //!   every admitted program — a duplicate candidate is never re-scored,
 //!   and a frontier node that survives into the next generation is
 //!   never re-expanded;
-//! * **dependences**: at most one analysis per node, reused for every
-//!   legality query on that node, propagated by `Arc` to children of
-//!   parallelization steps (which cannot change the dependence
-//!   structure — the analyzer ignores parallel marks), and shared both
-//!   ways with the cost engine: scoring a node hands its dependence set
-//!   back for the node's later expansion, and a node that already holds
-//!   one is scored via `estimate_with_deps` with no analysis at all.
+//! * **dependences**: the cost engine is the one dependence cache. A
+//!   node's legality queries use [`CostEngine::deps`], which returns the
+//!   set the engine already computed when it scored the node, and a
+//!   child of a parallelization step shares its parent's entry (the
+//!   engine keys sets without parallel marks, which the analyzer
+//!   ignores). The engine's [`looprag_machine::CostEngineStats`] count
+//!   the analyses a search runs.
 //!
 //! ```
 //! use looprag_search::{search, SearchConfig};
@@ -66,20 +66,19 @@
 
 mod legality;
 
-pub use legality::{analyze_for_search, step_legal};
+pub use legality::step_legal;
 
-use looprag_dependence::DependenceSet;
+use looprag_dependence::{analyze_for, Purpose};
 use looprag_ir::{print_program, Program};
 use looprag_machine::{estimate_cost_reference, CostEngine, MachineConfig};
 use looprag_rank::{RankConfig, RankExample};
 use looprag_retrieval::feature_signature;
 use looprag_runtime::{par_map, resolve_threads};
 use looprag_transform::{
-    enumerate_steps, enumerate_steps_into, Family, Recipe, Step, StepGrid, StepGridPlan,
+    enumerate_steps, enumerate_steps_into, Recipe, Step, StepGrid, StepGridPlan,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::sync::OnceLock;
 
 /// Process-wide count of node expansions performed by [`search`] and
@@ -212,13 +211,11 @@ pub struct SearchStats {
     /// Candidates skipped as structural duplicates of an already-scored
     /// program (each one is a rescoring the node-table memo avoided).
     pub dedup_skips: usize,
-    /// Dependence analyses the search itself requested. The engine's
-    /// scorer returns the dependence set it computed (or had cached)
-    /// alongside each cost, so this is normally 0 for [`search`]; the
-    /// reference re-analyzes per legality query.
+    /// Dependence analyses the searcher ran itself: one per legality
+    /// query for the reference, always 0 for [`search`], whose sets come
+    /// from the cost engine and are counted in its
+    /// [`looprag_machine::CostEngineStats::deps_computed`].
     pub deps_computed: usize,
-    /// Nodes that inherited their parent's dependence set.
-    pub deps_reused: usize,
 }
 
 impl std::ops::AddAssign for SearchStats {
@@ -237,7 +234,6 @@ impl std::ops::AddAssign for SearchStats {
             scored,
             dedup_skips,
             deps_computed,
-            deps_reused,
         } = rhs;
         self.nodes_expanded += nodes_expanded;
         self.expansions_reused += expansions_reused;
@@ -250,7 +246,6 @@ impl std::ops::AddAssign for SearchStats {
         self.scored += scored;
         self.dedup_skips += dedup_skips;
         self.deps_computed += deps_computed;
-        self.deps_reused += deps_reused;
     }
 }
 
@@ -309,7 +304,6 @@ struct SearchNode {
     program: Program,
     recipe: Recipe,
     cost: f64,
-    deps: Option<Arc<DependenceSet>>,
     expanded: bool,
 }
 
@@ -391,8 +385,8 @@ fn select_frontier(pool: &mut Vec<usize>, costs: impl Fn(usize) -> f64, beam: us
 ///
 /// Scoring runs through the process-wide [`CostEngine::global`], so
 /// repeated searches (and the pipeline scoring the same candidates)
-/// share one cross-stage cache; the engine hands back the dependence
-/// set it used, which seeds the root node's legality queries for free.
+/// share one cross-stage cache; the legality queries read the
+/// dependence sets the engine computed while scoring.
 pub fn search(p: &Program, cfg: &SearchConfig) -> SearchResult {
     search_with_engine(p, cfg, CostEngine::global())
 }
@@ -425,8 +419,10 @@ pub fn search_with_engine_traced(
     // every expansion (a per-node cost before).
     let plan = StepGridPlan::new(&cfg.grid);
     stats.grid_plans += 1;
-    let (base_report, base_deps) = engine.estimate_full(p, &cfg.machine);
-    let base_cost = base_report.map(|r| r.cycles).unwrap_or(f64::INFINITY);
+    let base_cost = engine
+        .estimate(p, &cfg.machine)
+        .map(|r| r.cycles)
+        .unwrap_or(f64::INFINITY);
     stats.scored += 1;
     looprag_trace::instant(rec, "search.root", || {
         format!("beam={beam} depth={} base_cost={base_cost:.4}", cfg.depth)
@@ -441,7 +437,6 @@ pub fn search_with_engine_traced(
         program: p.clone(),
         recipe: Recipe::new(),
         cost: base_cost,
-        deps: Some(base_deps),
         expanded: false,
     }];
     let mut by_printed: HashMap<String, usize> = HashMap::new();
@@ -470,32 +465,16 @@ pub fn search_with_engine_traced(
             )
         });
 
-        // Dependence sets for nodes that did not inherit one, sharded.
-        // With the engine returning deps at scoring time this is
-        // normally empty; it remains as the safety net for nodes whose
-        // set was evicted from the engine's bounded cache.
-        let missing: Vec<usize> = to_expand
-            .iter()
-            .copied()
-            .filter(|&i| nodes[i].deps.is_none())
-            .collect();
-        let computed = par_map(threads, &missing, |_, &i| {
-            analyze_for_search(&nodes[i].program)
-        });
-        for (&i, d) in missing.iter().zip(computed) {
-            nodes[i].deps = Some(Arc::new(d));
-        }
-        stats.deps_computed += missing.len();
-
-        // Expansion: enumerate (into the worker's reusable scratch
-        // buffer), rerank/prune when a model is wired in, legality-prune
-        // (before applying!), apply, print. Pure per node, so it shards
+        // Expansion: fetch the node's dependence set from the engine,
+        // enumerate (into the worker's reusable scratch buffer),
+        // rerank/prune when a model is wired in, legality-prune (before
+        // applying!), apply, print. Pure per node, so it shards
         // with an order-preserving merge; with `rank` set the children
         // come back in ranker order, so the admission-index tie-break
         // below prefers predicted-best candidates.
         let expansions: Vec<Expansion> = par_map(threads, &to_expand, |_, &ni| {
             let n = &nodes[ni];
-            let deps = n.deps.as_ref().expect("deps filled above");
+            let deps = engine.deps(&n.program);
             STEP_SCRATCH.with_borrow_mut(|steps| {
                 enumerate_steps_into(&n.program, &plan, steps);
                 let total = steps.len();
@@ -508,7 +487,7 @@ pub fn search_with_engine_traced(
                 let mut kids = Vec::new();
                 for &si in &order {
                     let step = &steps[si];
-                    if !step_legal(&n.program, deps, step) {
+                    if !step_legal(&n.program, &deps, step) {
                         pruned += 1;
                         continue;
                     }
@@ -545,20 +524,11 @@ pub fn search_with_engine_traced(
                 let idx = nodes.len();
                 by_printed.insert(printed, idx);
                 let mut recipe = nodes[from].recipe.clone();
-                // Parallel marks do not change the dependence structure,
-                // so the parent's analysis carries over unchanged.
-                let deps = if step.family() == Family::Parallelization {
-                    stats.deps_reused += 1;
-                    nodes[from].deps.clone()
-                } else {
-                    None
-                };
                 recipe.steps.push(step);
                 nodes.push(SearchNode {
                     program,
                     recipe,
                     cost: f64::NAN,
-                    deps,
                     expanded: false,
                 });
                 admitted.push(idx);
@@ -568,30 +538,17 @@ pub fn search_with_engine_traced(
         stats.admitted += admitted.len();
         looprag_trace::value(rec, "search.admitted", admitted.len() as i64, String::new);
 
-        // Score the newcomers through the shared engine, sharded. A
-        // node that inherited its parent's dependence set is scored via
-        // `estimate_with_deps` (no analysis at all); the rest use
-        // `estimate_full` and keep the returned set for their own later
-        // expansion. Cached and fresh engine results are bitwise equal,
-        // so sharding stays deterministic at any pool size.
+        // Score the newcomers through the shared engine, sharded.
+        // Cached and fresh engine results are bitwise equal, so sharding
+        // stays deterministic at any pool size.
         let scored = par_map(threads, &admitted, |_, &i| {
-            let n = &nodes[i];
-            match &n.deps {
-                Some(d) => {
-                    let r = engine.estimate_with_deps(&n.program, &cfg.machine, d.clone());
-                    (r.map(|r| r.cycles).unwrap_or(f64::INFINITY), None)
-                }
-                None => {
-                    let (r, d) = engine.estimate_full(&n.program, &cfg.machine);
-                    (r.map(|r| r.cycles).unwrap_or(f64::INFINITY), Some(d))
-                }
-            }
+            engine
+                .estimate(&nodes[i].program, &cfg.machine)
+                .map(|r| r.cycles)
+                .unwrap_or(f64::INFINITY)
         });
-        for (&i, (c, d)) in admitted.iter().zip(scored) {
+        for (&i, c) in admitted.iter().zip(scored) {
             nodes[i].cost = c;
-            if nodes[i].deps.is_none() {
-                nodes[i].deps = d;
-            }
         }
         stats.scored += admitted.len();
         for &i in &admitted {
@@ -702,7 +659,7 @@ pub fn search_reference(p: &Program, cfg: &SearchConfig) -> SearchResult {
         // Filter by legality, re-analyzing the parent per query.
         for e in &mut entries {
             let parent = &nodes[e.from].program;
-            let deps = analyze_for_search(parent);
+            let deps = analyze_for(parent, Purpose::Transform);
             stats.deps_computed += 1;
             e.legal = step_legal(parent, &deps, &e.step);
             if !e.legal {
@@ -778,8 +735,10 @@ pub fn rank_training_examples(p: &Program, cfg: &SearchConfig) -> Vec<RankExampl
     let beam = cfg.beam.max(1);
     let engine = CostEngine::global();
     let mut examples = Vec::new();
-    let (base_report, base_deps) = engine.estimate_full(p, &cfg.machine);
-    let base_cost = base_report.map(|r| r.cycles).unwrap_or(f64::INFINITY);
+    let base_cost = engine
+        .estimate(p, &cfg.machine)
+        .map(|r| r.cycles)
+        .unwrap_or(f64::INFINITY);
     if !base_cost.is_finite() {
         return examples;
     }
@@ -787,14 +746,12 @@ pub fn rank_training_examples(p: &Program, cfg: &SearchConfig) -> Vec<RankExampl
     struct TraceNode {
         program: Program,
         cost: f64,
-        deps: Arc<DependenceSet>,
         signature: u32,
         expanded: bool,
     }
     let mut nodes: Vec<TraceNode> = vec![TraceNode {
         program: p.clone(),
         cost: base_cost,
-        deps: base_deps,
         signature: feature_signature(p),
         expanded: false,
     }];
@@ -815,7 +772,7 @@ pub fn rank_training_examples(p: &Program, cfg: &SearchConfig) -> Vec<RankExampl
         for &ni in &to_expand {
             nodes[ni].expanded = true;
             let parent = nodes[ni].program.clone();
-            let parent_deps = nodes[ni].deps.clone();
+            let parent_deps = engine.deps(&parent);
             let parent_cost = nodes[ni].cost;
             let signature = nodes[ni].signature;
             enumerate_steps_into(&parent, &plan, &mut steps);
@@ -846,8 +803,10 @@ pub fn rank_training_examples(p: &Program, cfg: &SearchConfig) -> Vec<RankExampl
                     examples.push(example);
                     continue;
                 }
-                let (report, child_deps) = engine.estimate_full(&prog, &cfg.machine);
-                let child_cost = report.map(|r| r.cycles).unwrap_or(f64::INFINITY);
+                let child_cost = engine
+                    .estimate(&prog, &cfg.machine)
+                    .map(|r| r.cycles)
+                    .unwrap_or(f64::INFINITY);
                 if child_cost.is_finite() && child_cost > 0.0 {
                     example.speedup = parent_cost / child_cost;
                     let idx = nodes.len();
@@ -856,7 +815,6 @@ pub fn rank_training_examples(p: &Program, cfg: &SearchConfig) -> Vec<RankExampl
                     nodes.push(TraceNode {
                         program: prog,
                         cost: child_cost,
-                        deps: child_deps,
                         signature,
                         expanded: false,
                     });
@@ -877,7 +835,7 @@ pub fn rank_training_examples(p: &Program, cfg: &SearchConfig) -> Vec<RankExampl
 /// pruner admits at one level — for tests that pin every admitted step
 /// against the differential oracle.
 pub fn admissible_children(p: &Program, grid: &StepGrid) -> Vec<(Step, Program)> {
-    let deps = analyze_for_search(p);
+    let deps = analyze_for(p, Purpose::Transform);
     enumerate_steps(p, grid)
         .into_iter()
         .filter(|s| step_legal(p, &deps, s))
@@ -924,13 +882,15 @@ mod tests {
         )
         .unwrap();
         let cfg = small_cfg();
-        let e = search(&p, &cfg);
+        let engine = CostEngine::new();
+        let e = search_with_engine(&p, &cfg, &engine);
         let r = search_reference(&p, &cfg);
         assert_eq!(e.fingerprint(), r.fingerprint());
         assert_eq!(e.stats.admitted, r.stats.admitted);
         // The reference must pay for its naivety in measurable work.
         assert!(r.stats.scored > e.stats.scored);
-        assert!(r.stats.deps_computed > e.stats.deps_computed);
+        assert_eq!(e.stats.deps_computed, 0);
+        assert!(r.stats.deps_computed as u64 > engine.stats().deps_computed);
         assert!(r.stats.nodes_expanded >= e.stats.nodes_expanded);
     }
 

@@ -953,6 +953,19 @@ mod tests {
     }
 
     #[test]
+    fn oversized_arrays_are_rejected_with_the_reason() {
+        let src = "param N = 4000000000;\narray A[N][N][N];\nout A;\n#pragma scop\nA[0][0][0] = 1.0;\n#pragma endscop\n";
+        let err = compile(src, "request").unwrap_err().to_string();
+        assert!(err.contains("array 'A' is too large"), "{err}");
+        let mut server = tiny_server();
+        let r = server.submit(&[Request::new("huge", src)]);
+        assert_eq!(r[0].cache, CacheStatus::Rejected);
+        assert!(!r[0].passed);
+        assert_eq!(r[0].verdict, format!("rejected: {err}"));
+        assert_eq!(server.stats().rejected, 1);
+    }
+
+    #[test]
     fn snapshot_restore_replays_byte_identically() {
         let mut server = tiny_server();
         let reqs = [Request::new("s", STREAM), Request::new("t", SCALE)];

@@ -1,7 +1,7 @@
 //! Loop-property statistics over SCoPs — the eight properties of the
 //! paper's Figure 9 — and their clustering into the A–D buckets.
 
-use looprag_dependence::{analyze_with, AnalysisConfig};
+use looprag_dependence::{analyze_for, Purpose};
 use looprag_ir::{Bound, Node, Program};
 use serde::{Deserialize, Serialize};
 
@@ -34,13 +34,7 @@ pub struct LoopPropertyStats {
 
 /// Measures the Figure 9 properties of `p`.
 pub fn property_stats(p: &Program) -> LoopPropertyStats {
-    let deps = analyze_with(
-        p,
-        &AnalysisConfig {
-            param_cap: 6,
-            instance_budget: 500_000,
-        },
-    );
+    let deps = analyze_for(p, Purpose::Stats);
     let (raw, war, waw) = deps.kind_counts();
     let n_dep_kinds = [raw, war, waw].iter().filter(|c| **c > 0).count();
 

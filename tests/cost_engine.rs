@@ -11,7 +11,7 @@
 //! tests hard-assert that contract; any drift is a correctness bug,
 //! not a tolerance question.
 
-use looprag::looprag_ir::{compile, Program};
+use looprag::looprag_ir::{compile, parse_program, Program};
 use looprag::looprag_machine::{
     estimate_cost_reference, CacheGeometry, CostEngine, CostError, CostReport, MachineConfig,
 };
@@ -248,7 +248,9 @@ fn non_power_of_two_cache_geometry_pins_to_reference() {
 
 /// Array extents whose byte layout overflows 64 bits are a clean
 /// `CostError::Overflow` on both paths — not an overflow panic (debug)
-/// or a wrapped, meaningless address (release).
+/// or a wrapped, meaningless address (release). `compile` rejects such
+/// declarations, so the programs are only parsed: the cost model must
+/// stay safe on unvalidated input too.
 #[test]
 fn layout_overflow_is_a_clean_error_on_both_paths() {
     let sources = [
@@ -257,7 +259,9 @@ fn layout_overflow_is_a_clean_error_on_both_paths() {
     ];
     let cfg = MachineConfig::gcc();
     for src in sources {
-        let p = compile(src, "huge").unwrap();
+        let err = compile(src, "huge").unwrap_err().to_string();
+        assert!(err.contains("array 'A' is too large"), "{err}");
+        let p = parse_program(src, "huge").unwrap();
         for r in [
             estimate_cost_reference(&p, &cfg),
             CostEngine::new().estimate(&p, &cfg),
