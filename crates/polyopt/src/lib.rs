@@ -16,7 +16,17 @@
 //!
 //! Every accepted step is verified with the differential semantics
 //! oracle, so the optimizer cannot emit a wrong program on the sampled
-//! inputs; steps that fail verification are rolled back.
+//! inputs; steps that fail verification are rolled back. One
+//! [`OracleTarget`] serves a whole [`optimize`] call: the input
+//! program's expected outputs are computed once per sampling cap and
+//! reused by every step tried, and each step costs one compile of the
+//! candidate and one batched run per parallel order.
+//!
+//! Each program version is analyzed for dependences once, on first use
+//! after the step that produced it. Nothing in the optimizer draws
+//! random numbers, so its result is a pure function of the input and the
+//! options, which is what lets dataset synthesis label examples in
+//! parallel.
 //!
 //! ```
 //! use looprag_polyopt::{optimize, PolyOptions};
@@ -33,7 +43,7 @@
 
 use looprag_dependence::{analyze_for, DependenceSet, Purpose};
 use looprag_ir::{loop_paths, node_at, Node, NodePath, Program};
-use looprag_transform::{perfect_band, semantics_preserving, OracleConfig, Recipe, Step};
+use looprag_transform::{perfect_band, OracleConfig, OracleTarget, Recipe, Step};
 
 /// Options mirroring the PLuTo command line used in the paper
 /// (`-tile -parallel -nocloogbacktrack`).
@@ -116,7 +126,8 @@ fn innermost_score(p: &Program, path: &NodePath, iter: &str) -> i64 {
 
 struct Optimizer<'a> {
     opts: &'a PolyOptions,
-    original: Program,
+    /// The input program, as the oracle's reference for every step.
+    oracle: OracleTarget<'a>,
     current: Program,
     /// Dependences of `current`, analyzed on first use after each
     /// accepted step so that every program version is analyzed once.
@@ -154,7 +165,7 @@ impl Optimizer<'_> {
         let Ok(next) = step.apply(&self.current) else {
             return false;
         };
-        if !semantics_preserving(&self.original, &next, &self.opts.oracle) {
+        if !self.oracle.check(&next) {
             return false;
         }
         self.accept(next, step, None);
@@ -255,7 +266,7 @@ impl Optimizer<'_> {
                     let mut second = path.clone();
                     *second.last_mut().unwrap() += 1;
                     let gain = ndeps.is_parallel_legal(&path) || ndeps.is_parallel_legal(&second);
-                    if gain && semantics_preserving(&self.original, &next, &self.opts.oracle) {
+                    if gain && self.oracle.check(&next) {
                         accepted = Some((next, step, ndeps));
                         break 'paths;
                     }
@@ -294,9 +305,7 @@ impl Optimizer<'_> {
                     continue;
                 };
                 let ndeps = analyze_for(&next, Purpose::Transform);
-                if ndeps.is_band_permutable(&path, 2)
-                    && semantics_preserving(&self.original, &next, &self.opts.oracle)
-                {
+                if ndeps.is_band_permutable(&path, 2) && self.oracle.check(&next) {
                     self.accept(next, step, Some(ndeps));
                     break;
                 }
@@ -399,7 +408,7 @@ impl Optimizer<'_> {
 pub fn optimize(p: &Program, opts: &PolyOptions) -> PolyOptResult {
     let mut opt = Optimizer {
         opts,
-        original: p.clone(),
+        oracle: OracleTarget::new(p, &opts.oracle),
         current: p.clone(),
         deps: None,
         recipe: Recipe::new(),

@@ -6,6 +6,7 @@ use crate::params::LoopParams;
 use crate::stats::{property_stats, LoopPropertyStats};
 use looprag_ir::{parse_program, print_program, Program};
 use looprag_polyopt::{optimize, PolyOptions};
+use looprag_runtime::{par_map, resolve_threads};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -172,6 +173,10 @@ pub struct SynthConfig {
     /// exercises multiple tiles cheaply; the demonstrated *structure* is
     /// identical to PLuTo's 32-sized tiles.
     pub polyopt: PolyOptions,
+    /// Worker-pool size for the labelling phase (0 = auto: the
+    /// `LOOPRAG_THREADS` variable, then the machine's parallelism). The
+    /// dataset is the same at any pool size.
+    pub threads: usize,
 }
 
 impl Default for SynthConfig {
@@ -185,6 +190,7 @@ impl Default for SynthConfig {
             count: 200,
             generator: GeneratorKind::ParameterDriven,
             polyopt,
+            threads: 0,
         }
     }
 }
@@ -192,17 +198,30 @@ impl Default for SynthConfig {
 /// Synthesizes a dataset: generate examples, optimize each with the
 /// polyhedral optimizer, extract properties, and store all three.
 ///
+/// Two phases:
+///
+/// 1. **Draw** (sequential): every random choice — [`LoopParams::sample`],
+///    the generators and the record ids — comes from one RNG seeded with
+///    `cfg.seed`, in a fixed order.
+/// 2. **Label** (`par_map` on `cfg.threads` workers): [`optimize`] and
+///    [`property_stats`] draw no random numbers, so each record is a pure
+///    function of its drawn program and the results come back in draw
+///    order.
+///
+/// The dataset is therefore byte-identical at any pool size by
+/// construction.
+///
 /// Examples whose optimized version ends up identical to the source (no
 /// transformation found) are still kept — they demonstrate "nothing to
 /// do", which the retriever's penalty term handles.
 pub fn build_dataset(cfg: &SynthConfig) -> Dataset {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut examples = Vec::with_capacity(cfg.count);
+    let mut programs = Vec::with_capacity(cfg.count);
     let mut attempts = 0usize;
     let max_attempts = cfg.count * 30 + 100;
-    while examples.len() < cfg.count && attempts < max_attempts {
+    while programs.len() < cfg.count && attempts < max_attempts {
         attempts += 1;
-        let id = examples.len();
+        let id = programs.len();
         let program = match cfg.generator {
             GeneratorKind::ParameterDriven => {
                 let params = LoopParams::sample(&mut rng);
@@ -213,11 +232,13 @@ pub fn build_dataset(cfg: &SynthConfig) -> Dataset {
             }
             GeneratorKind::ColaGen => generate_cola_example(id, &mut rng),
         };
-        let opt = optimize(&program, &cfg.polyopt);
-        let stats = property_stats(&program);
-        examples.push(ExampleRecord {
+        programs.push(program);
+    }
+    let examples = par_map(resolve_threads(cfg.threads), &programs, |id, program| {
+        let opt = optimize(program, &cfg.polyopt);
+        ExampleRecord {
             id,
-            source: print_program(&program),
+            source: print_program(program),
             optimized: print_program(&opt.program),
             recipe: opt.recipe.steps.iter().map(|s| s.to_string()).collect(),
             families: opt
@@ -226,10 +247,10 @@ pub fn build_dataset(cfg: &SynthConfig) -> Dataset {
                 .iter()
                 .map(|f| f.to_string())
                 .collect(),
-            stats,
+            stats: property_stats(program),
             provenance: Provenance::Synthesized,
-        });
-    }
+        }
+    });
     Dataset { examples }
 }
 

@@ -25,7 +25,9 @@ mod primitives;
 mod recipe;
 
 pub use catalog::{enumerate_steps, enumerate_steps_into, StepGrid, StepGridPlan};
-pub use oracle::{scaled_clone, semantics_preserving, OracleConfig};
+pub use oracle::{
+    scaled_clone, semantics_preserving, semantics_preserving_reference, OracleConfig, OracleTarget,
+};
 pub use primitives::{
     distribute, fuse, interchange, parallelize, perfect_band, scalarize_reduction, serialize,
     shift, shift_fuse, skew, tile_band, TransformError, TransformErrorKind,

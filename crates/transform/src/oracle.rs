@@ -1,8 +1,8 @@
 //! The differential semantics oracle.
 //!
-//! Given an original and a transformed program, [`semantics_preserving`]
-//! executes both on scaled-down parameter bindings (several initial
-//! memory images, plus permuted schedules for parallel-marked loops) and
+//! Given an original and a transformed program, the oracle executes
+//! both on scaled-down parameter bindings (several initial memory
+//! images, plus permuted schedules for parallel-marked loops) and
 //! compares the declared outputs element-wise. It is the transform-time
 //! analogue of the paper's differential testing: cheap, exact on the
 //! sampled inputs, and the final arbiter the auto-optimizer uses before
@@ -14,10 +14,45 @@
 //! instance cap, extra initial-value images, and no checksum filter.
 //! And `SimLlm`'s fixed-seed decisions read its `bool`, so merging the
 //! two would move pipeline outcomes.
+//!
+//! # Lanes
+//!
+//! The initial memory images are the *lanes* of one
+//! [`CompiledProgram::run_batched`] sweep: lane 0 holds the program's own
+//! inits, lane `k ≥ 1` every non-local array filled with
+//! `cfg.extra_inits[k - 1]` ([`BatchStore::fill_lane`]). Control flow is
+//! data-independent, so one sweep runs every image; the candidate gets
+//! one sweep per [`ParallelOrder`] it must survive, and each lane is
+//! compared with [`BatchStore::element_diff_lane`].
+//!
+//! # Memo lifetime
+//!
+//! An [`OracleTarget`] is bound to one original program. It memoizes the
+//! original's expected outputs per sampling cap (the cap depends on the
+//! candidate too, so tiled and untiled candidates need different
+//! entries), including the verdict "the original does not run at this
+//! cap", which fails every check at that cap. The memo lives as long as
+//! the target: the auto-optimizer keeps one target for a whole
+//! `optimize` call, and [`semantics_preserving`] builds a fresh one per
+//! call.
+//!
+//! # The reference oracle
+//!
+//! [`semantics_preserving_reference`] is the scalar form: one
+//! [`run`] per image and order, nothing cached. It is the transform
+//! layer's one reference oracle; `tests/oracle.rs` pins
+//! [`OracleTarget::check`] to it. It is not metered.
+//!
+//! # Work units
+//!
+//! [`OracleTarget::check`] bumps the registry counter `oracle.checks`
+//! once per call, and `oracle.ground_truth_runs` once per memo miss (one
+//! batched run of the original).
 
 use looprag_dependence::scaled_params;
-use looprag_exec::{run, ExecConfig, ParallelOrder};
+use looprag_exec::{run, BatchStore, CompiledProgram, ExecConfig, ParallelOrder};
 use looprag_ir::{adaptive_sampling_cap, has_parallel_loop, InitKind, Program};
+use std::sync::OnceLock;
 
 /// Oracle configuration.
 #[derive(Debug, Clone)]
@@ -75,18 +110,54 @@ fn with_init(p: &Program, init: &InitKind) -> Program {
     out
 }
 
+/// Sampling budget: statement instances a scaled run may execute.
+const SAMPLE_INSTANCES: f64 = 3_000_000.0;
+
+/// The parameter cap both programs are scaled to.
+fn sampling_cap(original: &Program, candidate: &Program, cfg: &OracleConfig) -> i64 {
+    // Widen the sampling cap so tiled candidates exercise at least two
+    // tiles; a tile loop with a single iteration would hide reordering
+    // bugs and illegal parallel marks.
+    let cap = |p| adaptive_sampling_cap(p, cfg.param_cap, SAMPLE_INSTANCES);
+    cap(candidate).max(cap(original))
+}
+
+/// The parallel orders a candidate must survive: all three when it
+/// marks any loop parallel, the sequential one otherwise.
+fn orders(candidate: &Program) -> &'static [ParallelOrder] {
+    if has_parallel_loop(candidate) {
+        &[
+            ParallelOrder::Forward,
+            ParallelOrder::Reverse,
+            ParallelOrder::EvenOdd,
+        ]
+    } else {
+        &[ParallelOrder::Forward]
+    }
+}
+
 /// True when `candidate` computes the same outputs as `original` on every
 /// sampled configuration, including under permuted parallel schedules.
 ///
 /// A `false` result is definitive for the sampled inputs; a `true` result
 /// is strong evidence, not a proof — which mirrors the paper's testing
 /// stance on the undecidable equivalence problem (§4.3).
+///
+/// One-shot form of [`OracleTarget::check`]; callers that check many
+/// candidates against one original should keep a target instead.
 pub fn semantics_preserving(original: &Program, candidate: &Program, cfg: &OracleConfig) -> bool {
-    // Widen the sampling cap so tiled candidates exercise at least two
-    // tiles; a tile loop with a single iteration would hide reordering
-    // bugs and illegal parallel marks.
-    let cap = adaptive_sampling_cap(candidate, cfg.param_cap, 3_000_000.0)
-        .max(adaptive_sampling_cap(original, cfg.param_cap, 3_000_000.0));
+    OracleTarget::new(original, cfg).check(candidate)
+}
+
+/// The scalar reference oracle: [`semantics_preserving`] with one
+/// [`run`] per initial-value image and parallel order, and no memo.
+/// Unmetered.
+pub fn semantics_preserving_reference(
+    original: &Program,
+    candidate: &Program,
+    cfg: &OracleConfig,
+) -> bool {
+    let cap = sampling_cap(original, candidate, cfg);
     let orig = scaled_clone(original, cap);
     let cand = scaled_clone(candidate, cap);
     if orig.outputs != cand.outputs {
@@ -107,16 +178,7 @@ pub fn semantics_preserving(original: &Program, candidate: &Program, cfg: &Oracl
             // The original must execute; if it cannot, nothing is checkable.
             return false;
         };
-        let orders: &[ParallelOrder] = if has_parallel_loop(c) {
-            &[
-                ParallelOrder::Forward,
-                ParallelOrder::Reverse,
-                ParallelOrder::EvenOdd,
-            ]
-        } else {
-            &[ParallelOrder::Forward]
-        };
-        for &order in orders {
+        for &order in orders(c) {
             let ccfg = ExecConfig {
                 stmt_budget: cfg.stmt_budget,
                 parallel_order: order,
@@ -133,6 +195,118 @@ pub fn semantics_preserving(original: &Program, candidate: &Program, cfg: &Oracl
         }
     }
     true
+}
+
+/// Registry handles for the oracle's work units.
+struct OracleMetrics {
+    checks: looprag_trace::Counter,
+    ground_truth_runs: looprag_trace::Counter,
+}
+
+fn oracle_metrics() -> &'static OracleMetrics {
+    static M: OnceLock<OracleMetrics> = OnceLock::new();
+    M.get_or_init(|| {
+        let r = looprag_trace::metrics();
+        OracleMetrics {
+            checks: r.counter("oracle.checks"),
+            ground_truth_runs: r.counter("oracle.ground_truth_runs"),
+        }
+    })
+}
+
+/// `p`'s initial memory images as the lanes of one store: lane 0 the
+/// program's own inits, lane `k` every non-local array filled with
+/// `extra[k - 1]`.
+fn init_lanes(p: &Program, extra: &[InitKind]) -> BatchStore {
+    let mut store = BatchStore::from_program(p, 1 + extra.len());
+    for decl in p.arrays.iter().filter(|a| !a.local) {
+        for (k, init) in extra.iter().enumerate() {
+            store.fill_lane(k + 1, &decl.name, init);
+        }
+    }
+    store
+}
+
+/// One original program to check candidates against, with its expected
+/// outputs memoized per sampling cap for the life of the target. Each
+/// check compiles the candidate once and runs the initial-value images
+/// as the lanes of one batched sweep per parallel order.
+#[derive(Debug)]
+pub struct OracleTarget<'a> {
+    original: &'a Program,
+    cfg: &'a OracleConfig,
+    /// Per cap: the scaled original's final store, one lane per initial
+    /// image, or `None` when the original does not run at that cap.
+    memo: Vec<(i64, Option<BatchStore>)>,
+}
+
+impl<'a> OracleTarget<'a> {
+    /// A target for `original` under `cfg`, with an empty memo.
+    pub fn new(original: &'a Program, cfg: &'a OracleConfig) -> Self {
+        OracleTarget {
+            original,
+            cfg,
+            memo: Vec::new(),
+        }
+    }
+
+    /// The original's expected outputs at `cap`, running it on a memo
+    /// miss; `None` when it does not run there.
+    fn expected(&mut self, cap: i64) -> Option<&BatchStore> {
+        let i = match self.memo.iter().position(|(c, _)| *c == cap) {
+            Some(i) => i,
+            None => {
+                oracle_metrics().ground_truth_runs.inc();
+                let orig = scaled_clone(self.original, cap);
+                let mut store = init_lanes(&orig, &self.cfg.extra_inits);
+                let cfg = ExecConfig {
+                    stmt_budget: self.cfg.stmt_budget,
+                    parallel_order: ParallelOrder::Forward,
+                };
+                let runs = CompiledProgram::compile(&orig).run_batched(&mut store, &cfg, None);
+                let ok = runs.iter().all(Result::is_ok);
+                self.memo.push((cap, ok.then_some(store)));
+                self.memo.len() - 1
+            }
+        };
+        self.memo[i].1.as_ref()
+    }
+
+    /// True when `candidate` computes the same outputs as the original on
+    /// every sampled configuration: the verdict of
+    /// [`semantics_preserving_reference`], from one compile of the
+    /// candidate and one batched sweep per parallel order.
+    pub fn check(&mut self, candidate: &Program) -> bool {
+        oracle_metrics().checks.inc();
+        let (original, cfg) = (self.original, self.cfg);
+        if original.outputs != candidate.outputs {
+            return false;
+        }
+        let cap = sampling_cap(original, candidate, cfg);
+        let Some(expected) = self.expected(cap) else {
+            // The original must execute; if it cannot, nothing is checkable.
+            return false;
+        };
+        let cand = scaled_clone(candidate, cap);
+        let compiled = CompiledProgram::compile(&cand);
+        let init = init_lanes(&cand, &cfg.extra_inits);
+        orders(&cand).iter().all(|&order| {
+            let mut store = init.clone();
+            let ecfg = ExecConfig {
+                stmt_budget: cfg.stmt_budget,
+                parallel_order: order,
+            };
+            compiled
+                .run_batched(&mut store, &ecfg, None)
+                .iter()
+                .all(Result::is_ok)
+                && (0..store.lanes()).all(|lane| {
+                    expected
+                        .element_diff_lane(lane, &store, lane, &original.outputs, cfg.rel_eps)
+                        .is_none()
+                })
+        })
+    }
 }
 
 #[cfg(test)]

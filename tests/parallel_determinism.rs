@@ -4,9 +4,12 @@
 //! must be bit-for-bit identical at pool sizes 1, 2 and 8 on a fixed
 //! seed — including when a tight virtual-cost budget forces skip and
 //! timeout decisions, which are taken sequentially before the fan-out.
+//! Dataset synthesis labels its examples on the pool too, and its JSON
+//! must be byte-identical at every pool size.
 
 use looprag::looprag_core::{BudgetPolicy, LoopRag, LoopRagConfig};
 use looprag::looprag_llm::LlmProfile;
+use looprag::looprag_runtime::fnv64;
 use looprag::looprag_suites::{find, suite, Suite};
 use looprag::looprag_synth::{build_dataset, SynthConfig};
 use looprag_bench::run_campaign;
@@ -84,4 +87,31 @@ fn campaign_results_are_identical_at_any_pool_size() {
         format!("{:?}", run_campaign(&rag, &kernels, 2))
     };
     assert_eq!(runs[0], nested, "nested pools diverged from sequential");
+}
+
+#[test]
+fn dataset_is_byte_identical_at_any_pool_size() {
+    // The draw phase is sequential and the labelling phase draws no
+    // random numbers, so the pool size cannot reach the bytes. The
+    // fingerprints pin the bytes themselves: they are those of the
+    // sequential single-phase synthesis this one replaced.
+    for (count, bytes, fingerprint) in [
+        (40, 58_310, 0xc6ab_a8ee_5eda_08ed_u64),
+        (200, 310_525, 0x697c_7e2d_7c41_5f1b),
+    ] {
+        for threads in POOL_SIZES {
+            let json = build_dataset(&SynthConfig {
+                count,
+                threads,
+                ..Default::default()
+            })
+            .to_json()
+            .unwrap();
+            assert_eq!(
+                (json.len(), fnv64(json.bytes())),
+                (bytes, fingerprint),
+                "{count}-example dataset at pool size {threads} drifted"
+            );
+        }
+    }
 }
