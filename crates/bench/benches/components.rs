@@ -71,14 +71,14 @@ fn bench_interpreter(c: &mut Criterion) {
         b.iter(|| {
             let mut store = ArrayStore::from_program(&p);
             compiled
-                .run_with_store(&mut store, &ExecConfig::default(), None)
+                .run_with_store(&mut store, &ExecConfig::default())
                 .unwrap()
         })
     });
     c.bench_function("interp_reference_gemm_n16", |b| {
         b.iter(|| {
             let mut store = ArrayStore::from_program(&p);
-            run_with_store_reference(&p, &mut store, &ExecConfig::default(), None).unwrap()
+            run_with_store_reference(&p, &mut store, &ExecConfig::default()).unwrap()
         })
     });
     c.bench_function("compile_gemm", |b| b.iter(|| CompiledProgram::compile(&p)));

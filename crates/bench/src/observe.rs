@@ -13,7 +13,7 @@ use looprag_trace::{Event, Recorder, TraceConfig};
 /// Version of the `BENCH_*.json` emitters' shared field layout. Bump
 /// when the meta block below (or any emitter's field set) changes shape
 /// so snapshot diffs across PRs are attributable.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 2;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 3;
 
 /// The host-metadata block every `BENCH_*.json` emitter embeds as its
 /// first fields: schema version, host core count, and quick/full mode.

@@ -10,7 +10,7 @@
 //! * snapshot → restore → replay returns byte-identical responses.
 //!
 //! The wall-clock numbers (cold vs warm per-request latency) feed the
-//! `perf_snapshot --serve` section and its >= 20x gate.
+//! `perf_snapshot` serve row and its >= 20x gate.
 
 use looprag_core::LoopRagConfig;
 use looprag_ir::print_program;

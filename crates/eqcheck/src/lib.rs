@@ -293,7 +293,7 @@ pub fn build_test_suite(p: &Program, cfg: &EqCheckConfig) -> TestSuite {
     let mut stale_rounds = 0;
     for (i, spec) in unique_pool.iter().enumerate() {
         let mut store = store_for(&small, spec);
-        let Ok(stats) = compiled.run_with_store(&mut store, &exec_cfg, None) else {
+        let Ok(stats) = compiled.run_with_store(&mut store, &exec_cfg) else {
             continue;
         };
         let grew = total.merge(&stats.coverage);
@@ -448,7 +448,7 @@ fn reference_verdict(
     let mut skipped = 0usize;
     for spec in &suite.inputs {
         let mut ostore = store_for(orig, spec);
-        if run_with_store_reference(orig, &mut ostore, &fwd, None).is_err() {
+        if run_with_store_reference(orig, &mut ostore, &fwd).is_err() {
             // Ground truth failed on this input (should not happen for
             // benchmark kernels); skip it, but *count* the skip — a
             // verdict reached with zero comparisons is no verdict.
@@ -463,7 +463,7 @@ fn reference_verdict(
                 parallel_order: *order,
             };
             let mut cstore = store_for(cand, spec);
-            match run_with_store_reference(cand, &mut cstore, &ecfg, None) {
+            match run_with_store_reference(cand, &mut cstore, &ecfg) {
                 Err(ExecError::BudgetExceeded { .. }) => return TestVerdict::Timeout,
                 Err(e) => {
                     return annotate_skips(

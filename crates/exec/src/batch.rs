@@ -727,7 +727,7 @@ mod tests {
                 stmt_budget: budgets.map_or(cfg.stmt_budget, |b| b[lane]),
                 parallel_order: cfg.parallel_order,
             };
-            let r = cp.run_with_store(&mut store, &scfg, None);
+            let r = cp.run_with_store(&mut store, &scfg);
             assert_eq!(r, results[lane], "lane {lane} outcome diverges");
             let got = batch.lane_store(lane);
             assert_eq!(got.len(), store.len(), "lane {lane} store size");

@@ -17,12 +17,12 @@
 //!
 //! The compiled form is immutable and reusable: differential testing
 //! compiles the original and the candidate once and runs the same
-//! [`CompiledProgram`] across every input, iteration order and observer.
+//! [`CompiledProgram`] across every input and iteration order.
 //! Semantics are validated against the reference tree-walker
 //! ([`crate::run_with_store_reference`]) by differential self-tests.
 
 use crate::coverage::Coverage;
-use crate::interp::{ExecConfig, ExecError, ExecStats, Observer, ParallelOrder};
+use crate::interp::{ExecConfig, ExecError, ExecStats, ParallelOrder};
 use crate::store::ArrayStore;
 use looprag_ir::{AssignOp, BinOp, Bound, CmpOp, Expr, MathFn, Node, Program, Statement};
 use std::collections::HashMap;
@@ -87,7 +87,7 @@ pub(crate) enum Op {
     Const(f64),
     /// Push the current value of a loop iterator.
     Slot(u16),
-    /// Evaluate the access, observe the read, push the element value.
+    /// Evaluate the access, push the element value.
     Load(u32),
     /// A symbol that was unbound at compile time; errors when executed.
     UnboundSym(u32),
@@ -107,15 +107,11 @@ pub(crate) struct CStmt {
     /// Index into [`CompiledProgram::accesses`] for the write target.
     pub(crate) lhs: u32,
     pub(crate) op: AssignOp,
-    /// Precomputed `rhs.alu_cost()` for the observer.
-    pub(crate) alu: u64,
-    pub(crate) reads_target: bool,
 }
 
 #[derive(Debug, Clone)]
 pub(crate) struct CLoop {
     pub(crate) slot: u16,
-    pub(crate) iter: Box<str>,
     pub(crate) lb: CBound,
     pub(crate) ub: CBound,
     pub(crate) ub_inclusive: bool,
@@ -137,7 +133,7 @@ pub(crate) enum CNode {
 }
 
 /// A [`Program`] lowered to the bytecode form, built once and reusable
-/// across stores, iteration orders and observers.
+/// across stores and iteration orders.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     pub(crate) arrays: Vec<String>,
@@ -224,8 +220,8 @@ impl<'p> Compiler<'p> {
     }
 
     /// Emits `e` as postfix ops; operand order matches the reference
-    /// walker's left-to-right evaluation, so observed reads and error
-    /// points line up exactly.
+    /// walker's left-to-right evaluation, so error points line up
+    /// exactly.
     fn expr(&mut self, e: &'p Expr) {
         match e {
             Expr::Num(v) => self.ops.push(Op::Const(*v)),
@@ -270,8 +266,6 @@ impl<'p> Compiler<'p> {
             ops: (start, end),
             lhs: self.access(&s.lhs),
             op: s.op,
-            alu: s.rhs.alu_cost(),
-            reads_target: s.op.reads_target(),
         }
     }
 
@@ -308,7 +302,6 @@ impl<'p> Compiler<'p> {
                     self.slots.pop();
                     out.push(CNode::Loop(CLoop {
                         slot,
-                        iter: l.iter.as_str().into(),
                         lb,
                         ub,
                         ub_inclusive: l.ub_inclusive,
@@ -374,8 +367,8 @@ impl CompiledProgram {
         self.n_loops
     }
 
-    /// Runs the compiled program against `store` under `cfg`, streaming
-    /// events to `obs`. Behaviourally identical to running the source
+    /// Runs the compiled program against `store` under `cfg`.
+    /// Behaviourally identical to running the source
     /// program through [`crate::run_with_store_reference`].
     ///
     /// # Errors
@@ -386,7 +379,6 @@ impl CompiledProgram {
         &self,
         store: &mut ArrayStore,
         cfg: &ExecConfig,
-        obs: Option<&mut dyn Observer>,
     ) -> Result<ExecStats, ExecError> {
         // Resolve interned array ids to dense store indexes once.
         let store_idx: Vec<Option<u32>> = self
@@ -397,7 +389,6 @@ impl CompiledProgram {
         let mut m = Machine {
             cp: self,
             store,
-            obs,
             budget: cfg.stmt_budget,
             order: cfg.parallel_order,
             executed: 0,
@@ -417,10 +408,9 @@ impl CompiledProgram {
     }
 }
 
-struct Machine<'c, 's, 'o> {
+struct Machine<'c, 's> {
     cp: &'c CompiledProgram,
     store: &'s mut ArrayStore,
-    obs: Option<&'o mut dyn Observer>,
     budget: u64,
     order: ParallelOrder,
     executed: u64,
@@ -435,7 +425,7 @@ struct Machine<'c, 's, 'o> {
     store_idx: Vec<Option<u32>>,
 }
 
-impl<'c> Machine<'c, '_, '_> {
+impl<'c> Machine<'c, '_> {
     /// Evaluates an access's subscripts and bounds-checks them, returning
     /// `(store_index, flat_element_index)`.
     fn resolve(&mut self, acc: &'c CAccess, stmt: usize) -> Result<(u32, usize), ExecError> {
@@ -472,9 +462,6 @@ impl<'c> Machine<'c, '_, '_> {
                 Op::Load(a) => {
                     let acc = &cp.accesses[*a as usize];
                     let (idx, flat) = self.resolve(acc, s.id)?;
-                    if let Some(obs) = self.obs.as_deref_mut() {
-                        obs.access(idx, flat, false);
-                    }
                     self.stack.push(self.store.at(idx as usize).data[flat]);
                 }
                 Op::UnboundSym(i) => {
@@ -517,15 +504,6 @@ impl<'c> Machine<'c, '_, '_> {
         let rhs = self.eval_ops(s)?;
         let lhs = &self.cp.accesses[s.lhs as usize];
         let (idx, flat) = self.resolve(lhs, s.id)?;
-        if s.reads_target {
-            if let Some(obs) = self.obs.as_deref_mut() {
-                obs.access(idx, flat, false);
-            }
-        }
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.access(idx, flat, true);
-            obs.stmt(s.id, s.alu);
-        }
         let slot = &mut self.store.at_mut(idx as usize).data[flat];
         *slot = s.op.apply(*slot, rhs);
         Ok(())
@@ -533,9 +511,6 @@ impl<'c> Machine<'c, '_, '_> {
 
     #[inline]
     fn iteration(&mut self, l: &'c CLoop, v: i64) -> Result<(), ExecError> {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.loop_header(&l.iter);
-        }
         self.frame[l.slot as usize] = v;
         for child in l.body.iter() {
             self.exec_node(child)?;
@@ -648,9 +623,8 @@ pub fn run_with_store(
     p: &Program,
     store: &mut ArrayStore,
     cfg: &ExecConfig,
-    obs: Option<&mut dyn Observer>,
 ) -> Result<ExecStats, ExecError> {
-    CompiledProgram::compile(p).run_with_store(store, cfg, obs)
+    CompiledProgram::compile(p).run_with_store(store, cfg)
 }
 
 /// Allocates the program's arrays, runs it, and returns the final store.
@@ -660,7 +634,7 @@ pub fn run_with_store(
 /// Returns [`ExecError`] as in [`run_with_store`].
 pub fn run(p: &Program, cfg: &ExecConfig) -> Result<(ArrayStore, ExecStats), ExecError> {
     let mut store = ArrayStore::from_program(p);
-    let stats = run_with_store(p, &mut store, cfg, None)?;
+    let stats = run_with_store(p, &mut store, cfg)?;
     Ok((store, stats))
 }
 
@@ -679,8 +653,8 @@ mod tests {
     fn assert_engines_agree(p: &Program, cfg: &ExecConfig) {
         let mut s_ref = ArrayStore::from_program(p);
         let mut s_new = ArrayStore::from_program(p);
-        let r_ref = run_with_store_reference(p, &mut s_ref, cfg, None);
-        let r_new = CompiledProgram::compile(p).run_with_store(&mut s_new, cfg, None);
+        let r_ref = run_with_store_reference(p, &mut s_ref, cfg);
+        let r_new = CompiledProgram::compile(p).run_with_store(&mut s_new, cfg);
         assert_eq!(r_ref, r_new, "engine outcomes diverge");
         for (name, a) in s_ref.iter() {
             let b = s_new.get(name).unwrap();
@@ -732,9 +706,9 @@ mod tests {
         let cfg = ExecConfig::default();
         let mut s_ref = ArrayStore::from_program(&p);
         let mut s_new = ArrayStore::from_program(&p);
-        let e_ref = run_with_store_reference(&p, &mut s_ref, &cfg, None).unwrap_err();
+        let e_ref = run_with_store_reference(&p, &mut s_ref, &cfg).unwrap_err();
         let e_new = CompiledProgram::compile(&p)
-            .run_with_store(&mut s_new, &cfg, None)
+            .run_with_store(&mut s_new, &cfg)
             .unwrap_err();
         assert_eq!(e_ref, e_new);
         // The partial stores (writes before the fault) must also agree.
@@ -753,8 +727,8 @@ mod tests {
         let mut s_ref = ArrayStore::from_program(&p);
         let mut s_new = ArrayStore::from_program(&p);
         assert_eq!(
-            run_with_store_reference(&p, &mut s_ref, &cfg, None),
-            CompiledProgram::compile(&p).run_with_store(&mut s_new, &cfg, None)
+            run_with_store_reference(&p, &mut s_ref, &cfg),
+            CompiledProgram::compile(&p).run_with_store(&mut s_new, &cfg)
         );
         assert_eq!(s_ref, s_new);
     }
@@ -841,9 +815,9 @@ mod tests {
         l.lb = Bound::constant(0);
         let mut s_ref = ArrayStore::from_program(&live);
         let mut s_new = ArrayStore::from_program(&live);
-        let e_ref = run_with_store_reference(&live, &mut s_ref, &cfg, None).unwrap_err();
+        let e_ref = run_with_store_reference(&live, &mut s_ref, &cfg).unwrap_err();
         let e_new = CompiledProgram::compile(&live)
-            .run_with_store(&mut s_new, &cfg, None)
+            .run_with_store(&mut s_new, &cfg)
             .unwrap_err();
         assert_eq!(e_ref, e_new);
         assert!(matches!(e_new, ExecError::Unbound(ref s) if s == "ghost"));
@@ -894,8 +868,8 @@ mod tests {
     fn over_arity_calls_match_reference() {
         use looprag_ir::{Access, AffineExpr, Bound, Loop, MathFn};
         // The parser enforces intrinsic arity, but hand-built trees may
-        // not; both engines must evaluate all operands (observing their
-        // reads) and apply the intrinsic to the same argument slice.
+        // not; both engines must evaluate all operands and apply the
+        // intrinsic to the same argument slice.
         let mut p = Program::new("arity");
         p.arrays.push(looprag_ir::ArrayDecl::new(
             "A",
@@ -937,7 +911,7 @@ mod tests {
         for fill in [0.0, 1.5, -3.0] {
             let mut store = ArrayStore::from_program(&p);
             store.get_mut("A").unwrap().data.fill(fill);
-            cp.run_with_store(&mut store, &cfg, None).unwrap();
+            cp.run_with_store(&mut store, &cfg).unwrap();
             assert!(store
                 .get("A")
                 .unwrap()
@@ -948,37 +922,5 @@ mod tests {
         assert_eq!(cp.array_names(), &["A".to_string()]);
         assert_eq!(cp.num_loop_sites(), 1);
         assert_eq!(cp.num_if_sites(), 0);
-    }
-
-    #[test]
-    fn observer_ids_are_store_indexes() {
-        struct Tracker(Vec<(u32, usize, bool)>);
-        impl Observer for Tracker {
-            fn access(&mut self, array: u32, flat: usize, is_write: bool) {
-                self.0.push((array, flat, is_write));
-            }
-        }
-        let p = program(
-            "param N = 2;\narray A[N];\narray B[N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) A[i] += B[i];\n#pragma endscop\n",
-        );
-        let mut store = ArrayStore::from_program(&p);
-        let ia = store.index_of("A").unwrap() as u32;
-        let ib = store.index_of("B").unwrap() as u32;
-        let mut t = Tracker(Vec::new());
-        CompiledProgram::compile(&p)
-            .run_with_store(&mut store, &ExecConfig::default(), Some(&mut t))
-            .unwrap();
-        // Per iteration: read B[i], read A[i] (compound), write A[i].
-        assert_eq!(
-            t.0,
-            vec![
-                (ib, 0, false),
-                (ia, 0, false),
-                (ia, 0, true),
-                (ib, 1, false),
-                (ia, 1, false),
-                (ia, 1, true),
-            ]
-        );
     }
 }

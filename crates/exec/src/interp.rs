@@ -5,7 +5,6 @@
 //! * out-of-bounds detection (the pipeline's *runtime error* class),
 //! * a statement budget (the *execution timeout* class),
 //! * branch-coverage collection,
-//! * an [`Observer`] hook streaming memory accesses to the machine model,
 //! * configurable iteration order for `parallel`-marked loops, so that
 //!   illegally parallelized loops produce genuinely divergent results.
 //!
@@ -97,27 +96,6 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Receives execution events; implemented by the machine model.
-///
-/// Array identity is the *dense store index* of the accessed array
-/// (see [`ArrayStore::index_of`]) — stable for the lifetime of a store
-/// and identical between the bytecode engine and the reference walker,
-/// so observers never hash strings on the hot path. Map an index back
-/// to its name with [`ArrayStore::name_at`].
-pub trait Observer {
-    /// An element of the array at store index `array` was read or written
-    /// at flattened element index `flat`.
-    fn access(&mut self, array: u32, flat: usize, is_write: bool);
-    /// A statement finished; `alu` is its abstract ALU cost.
-    fn stmt(&mut self, id: usize, alu: u64) {
-        let _ = (id, alu);
-    }
-    /// A loop header executed one iteration check.
-    fn loop_header(&mut self, iter: &str) {
-        let _ = iter;
-    }
-}
-
 /// Outcome of a successful run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecStats {
@@ -143,10 +121,9 @@ impl Env {
     }
 }
 
-struct Interp<'s, 'o, 'c> {
+struct Interp<'s, 'c> {
     env: Env,
     store: &'s mut ArrayStore,
-    obs: Option<&'o mut dyn Observer>,
     cfg: &'c ExecConfig,
     executed: u64,
     coverage: Coverage,
@@ -176,7 +153,7 @@ fn number_sites(
     }
 }
 
-impl Interp<'_, '_, '_> {
+impl Interp<'_, '_> {
     fn eval_i64(&self, e: &looprag_ir::AffineExpr) -> Result<i64, ExecError> {
         let env = &self.env;
         e.eval(&|s| env.lookup(s)).map_err(ExecError::Unbound)
@@ -189,9 +166,6 @@ impl Interp<'_, '_, '_> {
 
     fn read(&mut self, acc: &looprag_ir::Access, stmt: usize) -> Result<f64, ExecError> {
         let (idx, flat) = self.flatten(acc, stmt)?;
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.access(idx, flat, false);
-        }
         Ok(self.store.at(idx as usize).data[flat])
     }
 
@@ -247,24 +221,12 @@ impl Interp<'_, '_, '_> {
         self.executed += 1;
         let rhs = self.eval_expr(&s.rhs, s.id)?;
         let (idx, flat) = self.flatten(&s.lhs, s.id)?;
-        if s.op.reads_target() {
-            if let Some(obs) = self.obs.as_deref_mut() {
-                obs.access(idx, flat, false);
-            }
-        }
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.access(idx, flat, true);
-            obs.stmt(s.id, s.rhs.alu_cost());
-        }
         let slot = &mut self.store.at_mut(idx as usize).data[flat];
         *slot = s.op.apply(*slot, rhs);
         Ok(())
     }
 
     fn run_iteration(&mut self, l: &Loop, v: i64) -> Result<(), ExecError> {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.loop_header(&l.iter);
-        }
         self.env.iters.last_mut().unwrap().1 = v;
         for child in &l.body {
             self.exec_node(child)?;
@@ -370,7 +332,7 @@ impl Interp<'_, '_, '_> {
 }
 
 /// Runs `p` against `store` under `cfg` through the **reference
-/// tree-walker**, streaming events to `obs`.
+/// tree-walker**.
 ///
 /// This path re-resolves every symbol and array name per access; use it
 /// as the differential-testing oracle for the bytecode engine
@@ -385,7 +347,6 @@ pub fn run_with_store_reference(
     p: &Program,
     store: &mut ArrayStore,
     cfg: &ExecConfig,
-    obs: Option<&mut dyn Observer>,
 ) -> Result<ExecStats, ExecError> {
     let mut if_ids = HashMap::new();
     let mut loop_ids = HashMap::new();
@@ -397,7 +358,6 @@ pub fn run_with_store_reference(
             iters: Vec::new(),
         },
         store,
-        obs,
         cfg,
         executed: 0,
         coverage,
@@ -416,7 +376,7 @@ pub fn run_with_store_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{run, run_with_store};
+    use crate::compile::run;
     use looprag_ir::compile;
 
     fn program(src: &str) -> Program {
@@ -426,7 +386,7 @@ mod tests {
     /// Runs through the reference walker on a fresh store.
     fn run_reference(p: &Program, cfg: &ExecConfig) -> Result<(ArrayStore, ExecStats), ExecError> {
         let mut store = ArrayStore::from_program(p);
-        let stats = run_with_store_reference(p, &mut store, cfg, None)?;
+        let stats = run_with_store_reference(p, &mut store, cfg)?;
         Ok((store, stats))
     }
 
@@ -550,41 +510,6 @@ mod tests {
         .unwrap()
         .0;
         assert!(fwd.element_diff(&rev, &["A".to_string()], 1e-9).is_some());
-    }
-
-    #[test]
-    fn observer_sees_reads_and_writes_in_both_engines() {
-        struct Counter {
-            reads: usize,
-            writes: usize,
-        }
-        impl Observer for Counter {
-            fn access(&mut self, _array: u32, _flat: usize, is_write: bool) {
-                if is_write {
-                    self.writes += 1;
-                } else {
-                    self.reads += 1;
-                }
-            }
-        }
-        let p = program(
-            "param N = 4;\narray A[N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) A[i] += 1.0;\n#pragma endscop\n",
-        );
-        for reference in [false, true] {
-            let mut store = ArrayStore::from_program(&p);
-            let mut c = Counter {
-                reads: 0,
-                writes: 0,
-            };
-            if reference {
-                run_with_store_reference(&p, &mut store, &ExecConfig::default(), Some(&mut c))
-                    .unwrap();
-            } else {
-                run_with_store(&p, &mut store, &ExecConfig::default(), Some(&mut c)).unwrap();
-            }
-            assert_eq!(c.writes, 4);
-            assert_eq!(c.reads, 4); // compound assignment reads the target
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! Programs are lowered **once** — array names interned to dense ids,
 //! symbols resolved to frame slots, RHS expressions flattened to a
 //! postfix op stream, coverage sites numbered — and the compiled form is
-//! then reused across every input, iteration order and observer.
+//! then reused across every input and iteration order.
 //!
 //! ```
 //! use looprag_exec::{run, ArrayStore, CompiledProgram, ExecConfig};
@@ -23,7 +23,7 @@
 //! // Compile once, run many times:
 //! let compiled = CompiledProgram::compile(&p);
 //! let mut store = ArrayStore::from_program(&p);
-//! compiled.run_with_store(&mut store, &ExecConfig::default(), None)?;
+//! compiled.run_with_store(&mut store, &ExecConfig::default())?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -38,7 +38,5 @@ mod store;
 pub use batch::BatchStore;
 pub use compile::{run, run_with_store, CompiledProgram};
 pub use coverage::Coverage;
-pub use interp::{
-    run_with_store_reference, ExecConfig, ExecError, ExecStats, Observer, ParallelOrder,
-};
+pub use interp::{run_with_store_reference, ExecConfig, ExecError, ExecStats, ParallelOrder};
 pub use store::{ArrayData, ArrayStore};

@@ -2,8 +2,8 @@
 //!
 //! [`CacheLevel`] and [`Hierarchy`] are the straightforward
 //! `Vec<Vec<u64>>` tag-stack model that
-//! [`estimate_cost_reference`](crate::estimate_cost_reference) and
-//! [`CacheObserver`](crate::CacheObserver) run on. The cost engine
+//! [`estimate_cost_reference`](crate::estimate_cost_reference) runs
+//! on. The cost engine
 //! simulates on its own flat layout (`flat_cache`), so the engine-vs-
 //! reference pin also cross-checks the two simulators.
 

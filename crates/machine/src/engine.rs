@@ -929,6 +929,19 @@ mod tests {
         stats
     }
 
+    /// Empty nests, which the synthesizer emits, charge only their
+    /// headers: the engine replays them, the reference sums each empty
+    /// body in closed form, and both agree bit for bit, also when the
+    /// budget runs out after the first empty nest.
+    #[test]
+    fn empty_nests_pin_to_reference() {
+        let src = "param N = 1024;\narray A[N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) {\n  for (j = 0; j <= N - 1; j++) {\n    for (k = 0; k <= N - 1; k++) {\n    }\n  }\n  A[i] = A[i] + 1.0;\n}\n#pragma endscop\n";
+        pin(src, &MachineConfig::gcc());
+        let mut starved = MachineConfig::gcc();
+        starved.instance_budget = 1;
+        pin(src, &starved);
+    }
+
     /// An outer time loop whose body never reads `t`: the canonical
     /// steady-state shape (jacobi-style).
     const TIME_STENCIL: &str = "param T = 200;\nparam N = 400;\narray A[N];\narray B[N];\nout A;\n#pragma scop\nfor (t = 0; t <= T - 1; t++) { for (i = 1; i <= N - 2; i++) B[i] = (A[i - 1] + A[i] + A[i + 1]) / 3.0; for (i = 1; i <= N - 2; i++) A[i] = B[i]; }\n#pragma endscop\n";

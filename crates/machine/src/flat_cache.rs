@@ -1,8 +1,8 @@
 //! The cost engine's private two-level LRU simulator.
 //!
 //! Behaviourally identical to [`Hierarchy`](crate::Hierarchy) (the
-//! reference simulator, which [`crate::estimate_cost_reference`] and
-//! [`crate::CacheObserver`] keep using), but laid out for the hot path:
+//! reference simulator, which [`crate::estimate_cost_reference`] keeps
+//! using), but laid out for the hot path:
 //! each level is one flat `Vec<u64>` of `sets × assoc` tags, ordered
 //! most recently used *first* within each set, plus a per-set fill
 //! count. Set and tag come from shift and mask when the line size and

@@ -29,9 +29,7 @@ mod cache;
 mod engine;
 mod flat_cache;
 mod model;
-mod observer;
 
 pub use cache::{CacheGeometry, CacheLevel, Hierarchy, ServiceLevel};
 pub use engine::{estimate_cost, CostEngine, CostEngineStats};
 pub use model::{estimate_cost_reference, CostError, CostReport, CostVec, MachineConfig};
-pub use observer::{measure_locality, CacheObserver, LocalityReport};

@@ -21,7 +21,8 @@
 //! ratios of estimated cycles.
 //!
 //! This module is the *reference* implementation: a straight-line
-//! simulation with no caching, on the reference cache simulator
+//! simulation with no caching (only an empty loop body's header charges
+//! are summed in closed form), on the reference cache simulator
 //! ([`Hierarchy`] / [`CacheLevel`](crate::CacheLevel), which nothing
 //! else in the cost path uses any more). The production entry point is
 //! [`crate::estimate_cost`], the [`crate::CostEngine`]-backed path that
@@ -679,9 +680,9 @@ impl<'a> Model<'a> {
                 if !inclusive {
                     ubv -= 1;
                 }
-                let header_ovh = *header_ovh as f64;
+                let header = *header_ovh as f64;
                 let mut cost = CostVec::default();
-                cost.ovh += header_ovh;
+                cost.ovh += header;
                 if ubv < lbv {
                     return Ok(cost);
                 }
@@ -695,19 +696,24 @@ impl<'a> Model<'a> {
                     self.iters.push(0);
                 }
                 let mut body_cost = CostVec::default();
-                let mut v = lbv;
                 let mut res = Ok(());
-                while v <= ubv {
-                    self.iters[*slot] = v;
-                    body_cost.ovh += header_ovh;
-                    match self.visit_nodes(body) {
-                        Ok(c) => body_cost.add(c),
-                        Err(e) => {
-                            res = Err(e);
-                            break;
+                if let Some((ovh, last)) = empty_loop_walk(body, lbv, ubv, *step, *header_ovh) {
+                    self.iters[*slot] = last;
+                    body_cost.ovh = ovh;
+                } else {
+                    let mut v = lbv;
+                    while v <= ubv {
+                        self.iters[*slot] = v;
+                        body_cost.ovh += header;
+                        match self.visit_nodes(body) {
+                            Ok(c) => body_cost.add(c),
+                            Err(e) => {
+                                res = Err(e);
+                                break;
+                            }
                         }
+                        v += step;
                     }
-                    v += step;
                 }
                 if parallel_here {
                     self.in_parallel = false;
@@ -729,6 +735,27 @@ impl<'a> Model<'a> {
             }
         }
     }
+}
+
+/// The walk of an empty-bodied loop in closed form: the header charge
+/// summed over its trips, and the iterator's last value. Each trip adds
+/// an integer-valued `f64`, so while `trips × header` is within 2^53
+/// every partial sum is exact and the walk's sum is the product. `None`
+/// where it could exceed that, or where the walk's last `v += step`
+/// would overflow: those loops are walked trip by trip.
+fn empty_loop_walk(
+    body: &[LNode],
+    lbv: i64,
+    ubv: i64,
+    step: i64,
+    header: u64,
+) -> Option<(f64, i64)> {
+    if !body.is_empty() || step <= 0 || ubv.checked_add(step).is_none() {
+        return None;
+    }
+    let steps = u64::try_from(ubv.checked_sub(lbv)? / step).ok()?;
+    let total = (steps + 1).checked_mul(header).filter(|t| *t <= 1 << 53)?;
+    Some((total as f64, lbv + steps as i64 * step))
 }
 
 /// True when the loop at `path` contains no nested loop.
@@ -926,7 +953,7 @@ pub(crate) fn lower_for_cost(
 ///
 /// The production entry point is [`crate::estimate_cost`], which is
 /// pinned bit-for-bit against this function (tests and
-/// `perf_snapshot --costmodel` hard-assert the pin over the whole
+/// the `perf_snapshot` interp row hard-assert the pin over the whole
 /// suite).
 ///
 /// # Errors
@@ -1080,6 +1107,36 @@ mod tests {
         let mut opt = base.clone();
         opt.cycles = base.cycles / 2.0;
         assert_eq!(base.speedup_of(&opt), 2.0);
+    }
+
+    #[test]
+    fn empty_loop_closed_form_matches_the_trip_walk() {
+        let walk = |lbv: i64, ubv: i64, step: i64, header: u64| {
+            let (mut ovh, mut v, mut last) = (0.0f64, lbv, lbv);
+            while v <= ubv {
+                last = v;
+                ovh += header as f64;
+                v += step;
+            }
+            (ovh, last)
+        };
+        for (lbv, ubv, step, header) in
+            [(0, 0, 1, 2), (1, 510, 1, 2), (-7, 40, 3, 5), (0, 99, 32, 1)]
+        {
+            let got = empty_loop_walk(&[], lbv, ubv, step, header).unwrap();
+            let want = walk(lbv, ubv, step, header);
+            assert_eq!((got.0.to_bits(), got.1), (want.0.to_bits(), want.1));
+        }
+        // A body, a last increment that would overflow, or a sum past
+        // 2^53 leaves the loop to the trip walk.
+        let stmt = LNode::Stmt {
+            alu: 1,
+            accesses: Vec::new(),
+        };
+        assert_eq!(empty_loop_walk(&[stmt], 0, 9, 1, 2), None);
+        assert_eq!(empty_loop_walk(&[], 0, i64::MAX, 1, 2), None);
+        assert_eq!(empty_loop_walk(&[], 0, 1 << 52, 1, 2), None);
+        assert!(empty_loop_walk(&[], 0, (1 << 52) - 1, 1, 2).is_some());
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //!   every frontier node every level, applies every catalog step before
 //!   knowing whether it is legal, scores every applied candidate from
 //!   scratch, and re-runs the dependence analysis for every single
-//!   legality query (the `perf_snapshot --search` gate demands the
-//!   optimized engine beat it by >= 3x on the same frontier).
+//!   legality query (the `perf_snapshot` search row requires the
+//!   optimized engine to beat it by >= 3x on the same frontier).
 //!
 //! ## Memoization layers
 //!
@@ -51,13 +51,15 @@
 //!   the analyses a search runs.
 //!
 //! ```
-//! use looprag_search::{search, SearchConfig};
+//! use looprag_machine::CostEngine;
+//! use looprag_search::{search_with_engine, SearchConfig};
 //! let p = looprag_ir::compile(
 //!     "param N = 4096;\narray A[N];\narray B[N];\nout A;\n#pragma scop\n\
 //!      for (i = 0; i <= N - 1; i++) A[i] = B[i] + 1.0;\n#pragma endscop\n",
 //!     "stream",
 //! )?;
-//! let found = search(&p, &SearchConfig { beam: 2, depth: 1, ..SearchConfig::default() });
+//! let cfg = SearchConfig { beam: 2, depth: 1, ..SearchConfig::default() };
+//! let found = search_with_engine(&p, &cfg, CostEngine::global());
 //! assert!(found.speedup > 1.0, "a stream loop parallelizes");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -81,9 +83,9 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-/// Process-wide count of node expansions performed by [`search`] and
-/// [`search_reference`] combined, registered as `search.expansions` in
-/// the [`looprag_trace::metrics`] registry.
+/// Process-wide count of node expansions performed by
+/// [`search_with_engine`] and [`search_reference`] combined, registered
+/// as `search.expansions` in the [`looprag_trace::metrics`] registry.
 ///
 /// This exists so callers can *prove* a code path never ran the search:
 /// snapshot the registry before and after and assert the counter's
@@ -212,8 +214,8 @@ pub struct SearchStats {
     /// program (each one is a rescoring the node-table memo avoided).
     pub dedup_skips: usize,
     /// Dependence analyses the searcher ran itself: one per legality
-    /// query for the reference, always 0 for [`search`], whose sets come
-    /// from the cost engine and are counted in its
+    /// query for the reference, always 0 for [`search_with_engine`],
+    /// whose sets come from the cost engine and are counted in its
     /// [`looprag_machine::CostEngineStats::deps_computed`].
     pub deps_computed: usize,
 }
@@ -381,23 +383,16 @@ fn select_frontier(pool: &mut Vec<usize>, costs: impl Fn(usize) -> f64, beam: us
 }
 
 /// The optimized engine: legality-pruned, memoized, sharded elitist
-/// beam search.
+/// beam search, scoring through `engine`.
 ///
-/// Scoring runs through the process-wide [`CostEngine::global`], so
-/// repeated searches (and the pipeline scoring the same candidates)
-/// share one cross-stage cache; the legality queries read the
-/// dependence sets the engine computed while scoring.
-pub fn search(p: &Program, cfg: &SearchConfig) -> SearchResult {
-    search_with_engine(p, cfg, CostEngine::global())
-}
-
-/// [`search`] against an explicit cost engine. The global engine's
-/// cross-stage cache is normally what you want; an isolated
-/// [`CostEngine::new`] instance exists for fair A/B timing (the
-/// `perf_snapshot --rerank` section gives the ranker-on and ranker-off
-/// arms one fresh engine each, so neither arm scores against the
-/// other's warm cache). Results are bit-identical either way — cached
-/// and fresh engine estimates are pinned equal.
+/// Pass [`CostEngine::global`] so repeated searches (and the pipeline
+/// scoring the same candidates) share one cross-stage cache; the
+/// legality queries read the dependence sets the engine computed while
+/// scoring. An isolated [`CostEngine::new`] instance exists for fair
+/// A/B timing (the `perf_snapshot` rerank row gives the ranker-on and
+/// ranker-off arms one fresh engine each, so neither arm scores against
+/// the other's warm cache). Results are bit-identical either way —
+/// cached and fresh engine estimates are pinned equal.
 pub fn search_with_engine(p: &Program, cfg: &SearchConfig, engine: &CostEngine) -> SearchResult {
     search_with_engine_traced(p, cfg, engine, None)
 }
@@ -593,8 +588,8 @@ pub fn search_with_engine_traced(
 /// legal, estimates every applied candidate's cost from scratch, runs a
 /// fresh dependence analysis for every single legality query, and
 /// dedups by linear scans. Selection uses the exact comparator and
-/// shared legality predicate of [`search`], so its results are
-/// bit-identical — only slower.
+/// shared legality predicate of [`search_with_engine`], so its results
+/// are bit-identical — only slower.
 pub fn search_reference(p: &Program, cfg: &SearchConfig) -> SearchResult {
     let beam = cfg.beam.max(1);
     let mut stats = SearchStats::default();
@@ -868,7 +863,7 @@ mod tests {
     #[test]
     fn stream_loop_finds_a_real_speedup() {
         let p = stream();
-        let r = search(&p, &small_cfg());
+        let r = search_with_engine(&p, &small_cfg(), CostEngine::global());
         assert!(r.speedup > 1.0, "speedup {}", r.speedup);
         assert!(!r.recipe.steps.is_empty());
         assert!((r.base_cost / r.cost - r.speedup).abs() < 1e-12);
@@ -917,7 +912,7 @@ mod tests {
             "scalar",
         )
         .unwrap();
-        let r = search(&p, &small_cfg());
+        let r = search_with_engine(&p, &small_cfg(), CostEngine::global());
         assert!(r.recipe.steps.is_empty());
         assert_eq!(r.speedup, 1.0);
         assert_eq!(
@@ -942,7 +937,7 @@ mod tests {
             threads: 1,
             ..SearchConfig::default()
         };
-        let e = search(&p, &cfg);
+        let e = search_with_engine(&p, &cfg, CostEngine::global());
         let r = search_reference(&p, &cfg);
         assert_eq!(e.fingerprint(), r.fingerprint());
         assert!(e.stats.nodes_expanded < r.stats.nodes_expanded);

@@ -157,7 +157,7 @@ mod tests {
                 stmt_budget: 5_000_000,
                 ..Default::default()
             };
-            let r = run_with_store(&p, &mut store, &cfg, None);
+            let r = run_with_store(&p, &mut store, &cfg);
             assert!(r.is_ok(), "{} faults: {:?}", b.name, r.err());
             assert!(r.unwrap().stmts_executed > 0, "{} executed nothing", b.name);
         }

@@ -62,10 +62,10 @@ pub mod prelude {
     pub use looprag_exec::{run, ExecConfig};
     pub use looprag_ir::{compile, parse_program, print_program, Program};
     pub use looprag_llm::{LanguageModel, LlmProfile, Prompt, SimLlm};
-    pub use looprag_machine::{estimate_cost, MachineConfig};
+    pub use looprag_machine::{estimate_cost, CostEngine, MachineConfig};
     pub use looprag_polyopt::{optimize, PolyOptions};
     pub use looprag_retrieval::{KnowledgeBase, RetrievalMode, Retriever};
-    pub use looprag_search::{search, SearchConfig, SearchResult};
+    pub use looprag_search::{search_with_engine, SearchConfig, SearchResult};
     pub use looprag_synth::{build_dataset, SynthConfig};
     pub use looprag_transform::{semantics_preserving, tile_band, OracleConfig, Recipe, Step};
 }

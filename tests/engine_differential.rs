@@ -62,8 +62,8 @@ fn assert_engines_agree(
     let mut s_new = ArrayStore::from_program(p);
     init(&mut s_ref);
     init(&mut s_new);
-    let r_ref = run_with_store_reference(p, &mut s_ref, cfg, None);
-    let r_new = CompiledProgram::compile(p).run_with_store(&mut s_new, cfg, None);
+    let r_ref = run_with_store_reference(p, &mut s_ref, cfg);
+    let r_new = CompiledProgram::compile(p).run_with_store(&mut s_new, cfg);
     assert_eq!(r_ref, r_new, "{ctx}: engine outcomes diverge");
     // Even on errors the partial stores must agree.
     assert_stores_bit_identical(&s_ref, &s_new, ctx);
@@ -173,7 +173,7 @@ fn assert_batch_matches_scalar(
             stmt_budget: budgets[lane],
             parallel_order: order,
         };
-        let scalar = compiled.run_with_store(&mut store, &scfg, None);
+        let scalar = compiled.run_with_store(&mut store, &scfg);
         assert_eq!(
             scalar, results[lane],
             "{ctx} lane {lane}: batched outcome diverges from scalar"

@@ -8,8 +8,9 @@
 
 use looprag::looprag_core::{LoopRagConfig, SearchConfig};
 use looprag::looprag_llm::LlmProfile;
+use looprag::looprag_machine::CostEngine;
 use looprag::looprag_rank::{RankConfig, RankExample, RankModel};
-use looprag::looprag_search::{rank_training_examples, search};
+use looprag::looprag_search::{rank_training_examples, search_with_engine};
 use looprag::looprag_serve::Server;
 use looprag::looprag_suites::find;
 use looprag::looprag_synth::{build_dataset, SynthConfig};
@@ -98,14 +99,14 @@ fn ranked_search_is_bit_identical_across_pool_sizes() {
     let rank = RankConfig::new(trained_model());
     for name in ["s000", "s119", "s1112"] {
         let p = find(name).unwrap().program();
-        let off = search(&p, &scfg(3, 3, 1));
+        let off = search_with_engine(&p, &scfg(3, 3, 1), CostEngine::global());
         let mut on_cfg = scfg(3, 3, 1);
         on_cfg.rank = Some(rank.clone());
-        let on = search(&p, &on_cfg);
+        let on = search_with_engine(&p, &on_cfg, CostEngine::global());
         for threads in [2usize, 8] {
             let mut c = scfg(3, 3, threads);
             c.rank = Some(rank.clone());
-            let got = search(&p, &c);
+            let got = search_with_engine(&p, &c, CostEngine::global());
             assert_eq!(
                 on.fingerprint(),
                 got.fingerprint(),

@@ -8,7 +8,8 @@
 
 use looprag::looprag_core::{LoopRag, LoopRagConfig, SearchConfig};
 use looprag::looprag_llm::LlmProfile;
-use looprag::looprag_search::{admissible_children, search, search_reference};
+use looprag::looprag_machine::CostEngine;
+use looprag::looprag_search::{admissible_children, search_reference, search_with_engine};
 use looprag::looprag_suites::{suite_strided, Benchmark, Suite};
 use looprag::looprag_synth::{build_dataset, Provenance, SynthConfig};
 use looprag::looprag_transform::{
@@ -36,7 +37,7 @@ fn cfg(beam: usize, depth: usize, threads: usize) -> SearchConfig {
 fn search_matches_reference_over_strided_tsvc() {
     for b in tsvc_strided(16) {
         let p = b.program();
-        let e = search(&p, &cfg(3, 3, 1));
+        let e = search_with_engine(&p, &cfg(3, 3, 1), CostEngine::global());
         let r = search_reference(&p, &cfg(3, 3, 1));
         assert_eq!(
             e.fingerprint(),
@@ -54,9 +55,9 @@ fn search_matches_reference_over_strided_tsvc() {
 fn search_is_bit_identical_across_pool_sizes() {
     for name in ["s000", "s119", "s243"] {
         let p = looprag::looprag_suites::find(name).unwrap().program();
-        let base = search(&p, &cfg(4, 3, 1));
+        let base = search_with_engine(&p, &cfg(4, 3, 1), CostEngine::global());
         for threads in [2, 8] {
-            let got = search(&p, &cfg(4, 3, threads));
+            let got = search_with_engine(&p, &cfg(4, 3, threads), CostEngine::global());
             assert_eq!(
                 base.fingerprint(),
                 got.fingerprint(),
@@ -75,7 +76,7 @@ fn search_is_bit_identical_across_pool_sizes() {
 #[test]
 fn expansion_counters_stay_at_the_hoisted_baseline() {
     let p = looprag::looprag_suites::find("s000").unwrap().program();
-    let r = search(&p, &cfg(3, 3, 1));
+    let r = search_with_engine(&p, &cfg(3, 3, 1), CostEngine::global());
     assert_eq!(
         r.stats.grid_plans, 1,
         "grid must be planned once per search"
@@ -96,7 +97,7 @@ fn expansion_counters_stay_at_the_hoisted_baseline() {
 #[test]
 fn search_improves_a_parallel_tsvc_kernel() {
     let p = looprag::looprag_suites::find("s000").unwrap().program();
-    let r = search(&p, &cfg(4, 3, 1));
+    let r = search_with_engine(&p, &cfg(4, 3, 1), CostEngine::global());
     assert!(r.speedup > 1.0, "s000 should improve, got {}", r.speedup);
     assert!(r.recipe.families().contains(&Family::Parallelization));
 }
@@ -244,7 +245,7 @@ fn hybrid_arm_injects_without_touching_the_llm_stream() {
 fn full_hybrid_pipeline_runs_end_to_end() {
     let p = looprag::looprag_suites::find("vtv").unwrap().program();
     let scfg = cfg(3, 2, 1);
-    let found = search(&p, &scfg);
+    let found = search_with_engine(&p, &scfg, CostEngine::global());
     let on = small_rag(pipeline_cfg(Some(scfg))).optimize("vtv", &p);
     assert_eq!(
         on.candidates.iter().filter(|c| c.from_search).count(),

@@ -42,7 +42,7 @@ fn hybrid_config(threads: usize) -> LoopRagConfig {
 }
 
 /// A traced hybrid run on the (cheap) vpv kernel — the deeper gemm run
-/// is covered in release mode by `perf_snapshot --trace`.
+/// is covered in release mode by the `perf_snapshot` trace row.
 fn traced_pipeline_run(threads: usize) -> (Vec<Event>, String) {
     let rag = LoopRag::new(hybrid_config(threads), dataset());
     let target = find("vpv").unwrap().program();
