@@ -7,7 +7,9 @@ use looprag_dependence::{analyze, analyze_for, Purpose};
 use looprag_eqcheck::{
     build_test_suite, differential_test, differential_test_reference, EqCheckConfig, PreparedTarget,
 };
-use looprag_exec::{run, run_with_store_reference, ArrayStore, CompiledProgram, ExecConfig};
+use looprag_exec::{
+    run, run_with_store_reference, ArrayStore, BatchStore, CompiledProgram, ExecConfig,
+};
 use looprag_ir::{compile, parse_program, print_program};
 use looprag_machine::{
     estimate_cost, estimate_cost_reference, CacheGeometry, CacheLevel, CostEngine, MachineConfig,
@@ -64,14 +66,15 @@ fn bench_interpreter(c: &mut Criterion) {
     c.bench_function("interpret_gemm_n16", |b| {
         b.iter(|| run(&p, &ExecConfig::default()).unwrap())
     });
-    // Compile-once-run-many (the eqcheck/pipeline pattern) vs the
-    // reference tree-walker: the engine-swap headline numbers.
+    // Compile once, then one lane of the lane engine per run, vs the
+    // reference tree-walker on the same input.
     let compiled = CompiledProgram::compile(&p);
     c.bench_function("interp_compiled_gemm_n16", |b| {
         b.iter(|| {
-            let mut store = ArrayStore::from_program(&p);
+            let mut store = BatchStore::from_program(&p, 1);
             compiled
-                .run_with_store(&mut store, &ExecConfig::default())
+                .run_batched(&mut store, &ExecConfig::default(), None)
+                .remove(0)
                 .unwrap()
         })
     });

@@ -638,10 +638,12 @@ fn serve(cx: &Ctx) -> Report {
 /// (the feedback loop's deployment shape: a campaign mines winners from
 /// the workload it serves), then runs ranker-off vs ranker-on searches
 /// over it, each on a fresh cost engine so neither scores from a cache
-/// the other warmed.
+/// the other warmed. Training scores through `CostEngine::global()`, so
+/// it starts cold too: `train_ms` must not read what earlier rows left.
 fn rerank(cx: &Ctx) -> Report {
     let (stride, kernels, base_cfg) = frontier(cx);
     let programs: Vec<Program> = kernels.iter().map(Benchmark::program).collect();
+    CostEngine::global().clear();
     let t0 = Instant::now();
     let examples: Vec<_> = programs
         .iter()

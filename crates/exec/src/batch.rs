@@ -11,7 +11,10 @@
 //! element-major stripes (`data[flat * lanes + lane]`), so the per-lane
 //! inner loops walk contiguous memory.
 //!
-//! Per-lane semantics are exactly those of the scalar engine:
+//! This is the crate's one production interpreter: a single run is a
+//! one-lane batch ([`run`]). Per-lane semantics are exactly those of a
+//! scalar run of the reference walker
+//! ([`crate::run_with_store_reference`]) on that lane's input:
 //!
 //! * every lane has its own statement budget; a lane that exhausts it is
 //!   latched with [`ExecError::BudgetExceeded`] and drops out, its
@@ -24,14 +27,14 @@
 //! * the run early-exits as soon as no live lanes remain.
 //!
 //! Every lane's outcome (stats, error class, final store) is pinned
-//! bit-for-bit against scalar [`CompiledProgram::run_with_store`] runs by
+//! bit-for-bit against a reference run of that input and budget by
 //! `tests/engine_differential.rs`.
 
 use crate::compile::{CAccess, CLoop, CNode, CStmt, CompiledProgram, Op};
 use crate::coverage::Coverage;
 use crate::interp::{ExecConfig, ExecError, ExecStats, ParallelOrder};
-use crate::store::{element_count, flatten_extents, ArrayData, ArrayStore};
-use looprag_ir::{AssignOp, BinOp, InitKind, Program};
+use crate::store::{element_count, flatten_extents, ArrayData, ArrayStore, InputSpec};
+use looprag_ir::{AssignOp, BinOp, Program};
 use std::collections::HashMap;
 
 /// A structure-of-arrays store: `lanes` independent memory images of one
@@ -125,20 +128,23 @@ impl BatchStore {
         self.index.get(name).copied()
     }
 
-    /// Overwrites one lane of the named array from an [`InitKind`]
-    /// pattern; silently ignores names the store does not hold (matching
-    /// how eqcheck input specs are applied to scalar stores).
+    /// Loads `input` into one lane: each named array's lane is
+    /// overwritten from its [`looprag_ir::InitKind`] pattern, in order.
+    /// Names the store does not hold are ignored, and arrays the spec
+    /// does not name keep their contents.
     ///
     /// # Panics
     ///
     /// Panics when `lane` is out of range.
-    pub fn fill_lane(&mut self, lane: usize, name: &str, init: &InitKind) {
-        assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
-        if let Some(&i) = self.index.get(name) {
-            let lanes = self.lanes;
-            let col = &mut self.data[i];
-            for flat in 0..self.lens[i] {
-                col[flat * lanes + lane] = init.value_at(flat);
+    pub fn fill_lane(&mut self, lane: usize, input: &InputSpec) {
+        let lanes = self.lanes;
+        assert!(lane < lanes, "lane {lane} out of {lanes}");
+        for (name, init) in input {
+            if let Some(&i) = self.index.get(name) {
+                let col = &mut self.data[i];
+                for flat in 0..self.lens[i] {
+                    col[flat * lanes + lane] = init.value_at(flat);
+                }
             }
         }
     }
@@ -167,32 +173,12 @@ impl BatchStore {
         out
     }
 
-    /// Per-lane checksum over the named arrays — the same sequential sum
-    /// (and non-finite NaN poisoning) as [`ArrayStore::checksum`], so the
-    /// result is bit-identical to checksumming the extracted lane.
-    pub fn checksum_lane(&self, lane: usize, names: &[String]) -> f64 {
-        let mut acc = 0.0f64;
-        for n in names {
-            if let Some(&i) = self.index.get(n.as_str()) {
-                for flat in 0..self.lens[i] {
-                    let v = self.data[i][flat * self.lanes + lane];
-                    if v.is_finite() {
-                        acc += v;
-                    } else {
-                        return f64::NAN;
-                    }
-                }
-            }
-        }
-        acc
-    }
-
-    /// [`Self::checksum_lane`] for every lane in one contiguous pass:
+    /// Per-lane checksums over the named arrays, in one contiguous pass:
     /// stripe-major traversal visits each element once, accumulating all
     /// lanes simultaneously. Per lane the addition sequence (and the NaN
-    /// poisoning on the first non-finite element) is identical to the
-    /// single-lane walk, so each entry is bit-identical to
-    /// `checksum_lane(lane, names)`.
+    /// poisoning on the first non-finite element) is that of
+    /// [`ArrayStore::checksum`], so each entry is bit-identical to
+    /// checksumming the extracted lane.
     pub fn checksum_lanes(&self, names: &[String]) -> Vec<f64> {
         let mut acc = vec![0.0f64; self.lanes];
         let mut poisoned = vec![false; self.lanes];
@@ -269,8 +255,8 @@ impl CompiledProgram {
     /// lane (`cfg.stmt_budget` otherwise). The returned vector has one
     /// entry per lane: surviving lanes get the shared [`ExecStats`],
     /// lanes that exhausted their budget or hit a fault get the exact
-    /// [`ExecError`] a scalar run of that lane would have returned, with
-    /// their stripes frozen at the death point.
+    /// [`ExecError`] a reference run of that lane would have returned,
+    /// with their stripes frozen at the death point.
     ///
     /// # Panics
     ///
@@ -337,6 +323,23 @@ impl CompiledProgram {
             })
             .collect()
     }
+}
+
+/// Allocates the program's arrays, runs it as a one-lane batch, and
+/// returns the final store: the one-shot entry point. Callers that run the
+/// same program repeatedly should call [`CompiledProgram::compile`] once
+/// and put their inputs in the lanes of one [`BatchStore`].
+///
+/// # Errors
+///
+/// Returns the lane's [`ExecError`] on an out-of-bounds access, budget
+/// exhaustion, or an unbound symbol.
+pub fn run(p: &Program, cfg: &ExecConfig) -> Result<(ArrayStore, ExecStats), ExecError> {
+    let mut store = BatchStore::from_program(p, 1);
+    let outcome = CompiledProgram::compile(p)
+        .run_batched(&mut store, cfg, None)
+        .remove(0);
+    outcome.map(|stats| (store.lane_store(0), stats))
 }
 
 /// Control-flow signal: every lane is dead, stop the whole run.
@@ -503,9 +506,9 @@ impl<'c> BatchMachine<'c, '_> {
     }
 
     fn exec_stmt(&mut self, s: &'c CStmt) -> Result<(), Halt> {
-        // Per-lane budget latch, checked where the scalar engine checks
-        // its budget: a lane whose budget is exhausted dies exactly at
-        // the statement a scalar run with that budget would abort on.
+        // Per-lane budget latch, checked where the reference walker
+        // checks its budget: a lane whose budget is exhausted dies exactly
+        // at the statement a scalar run with that budget would abort on.
         // Until `executed` reaches the smallest live budget no lane can
         // fire, so the common case is one comparison.
         if self.executed >= self.min_budget {
@@ -600,7 +603,7 @@ impl<'c> BatchMachine<'c, '_> {
         self.coverage.loops[site].0 = true;
         let step = l.step;
         // Degenerate steps: one iteration at the lower bound, matching
-        // both scalar engines.
+        // the reference walker.
         if step <= 0 {
             return self.iteration(l, lb);
         }
@@ -682,7 +685,8 @@ impl<'c> BatchMachine<'c, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use looprag_ir::compile as compile_src;
+    use crate::interp::run_with_store_reference;
+    use looprag_ir::{compile as compile_src, InitKind};
 
     fn program(src: &str) -> Program {
         compile_src(src, "t").unwrap()
@@ -694,40 +698,41 @@ mod tests {
         )
     }
 
-    /// Runs `lanes` differently initialized copies batched and scalar and
-    /// asserts bit-identical per-lane outcomes and stores.
-    fn assert_lanes_match_scalar(
+    /// Runs one lane per init (every non-local array filled with it)
+    /// batched, and each lane's input through the reference walker with
+    /// that lane's budget, and asserts bit-identical per-lane outcomes and
+    /// stores.
+    fn assert_lanes_match_reference(
         p: &Program,
         inits: &[InitKind],
         cfg: &ExecConfig,
         budgets: Option<&[u64]>,
     ) {
-        let cp = CompiledProgram::compile(p);
-        let non_local: Vec<String> = p
-            .arrays
+        let specs: Vec<InputSpec> = inits
             .iter()
-            .filter(|d| !d.local)
-            .map(|d| d.name.clone())
+            .map(|init| {
+                p.arrays
+                    .iter()
+                    .filter(|d| !d.local)
+                    .map(|d| (d.name.clone(), init.clone()))
+                    .collect()
+            })
             .collect();
-        let mut batch = BatchStore::from_program(p, inits.len());
-        for (lane, init) in inits.iter().enumerate() {
-            for name in &non_local {
-                batch.fill_lane(lane, name, init);
-            }
+        let mut batch = BatchStore::from_program(p, specs.len());
+        for (lane, spec) in specs.iter().enumerate() {
+            batch.fill_lane(lane, spec);
         }
-        let results = cp.run_batched(&mut batch, cfg, budgets);
-        for (lane, init) in inits.iter().enumerate() {
+        let results = CompiledProgram::compile(p).run_batched(&mut batch, cfg, budgets);
+        for (lane, spec) in specs.iter().enumerate() {
             let mut store = ArrayStore::from_program(p);
-            for name in &non_local {
-                if let Some(a) = store.get_mut(name) {
-                    a.fill(init);
-                }
+            for (name, init) in spec {
+                store.get_mut(name).unwrap().fill(init);
             }
-            let scfg = ExecConfig {
+            let rcfg = ExecConfig {
                 stmt_budget: budgets.map_or(cfg.stmt_budget, |b| b[lane]),
                 parallel_order: cfg.parallel_order,
             };
-            let r = cp.run_with_store(&mut store, &scfg);
+            let r = run_with_store_reference(p, &mut store, &rcfg);
             assert_eq!(r, results[lane], "lane {lane} outcome diverges");
             let got = batch.lane_store(lane);
             assert_eq!(got.len(), store.len(), "lane {lane} store size");
@@ -758,7 +763,7 @@ mod tests {
                 m: 113,
             },
         ];
-        assert_lanes_match_scalar(&p, &inits, &ExecConfig::default(), None);
+        assert_lanes_match_reference(&p, &inits, &ExecConfig::default(), None);
     }
 
     #[test]
@@ -771,7 +776,7 @@ mod tests {
         ];
         // Lane 0 dies almost immediately, lane 1 mid-run, lane 2 survives.
         let budgets = [3u64, 100, u64::MAX];
-        assert_lanes_match_scalar(&p, &inits, &ExecConfig::default(), Some(&budgets));
+        assert_lanes_match_reference(&p, &inits, &ExecConfig::default(), Some(&budgets));
     }
 
     #[test]
@@ -779,7 +784,7 @@ mod tests {
         let p = gemm();
         let inits = [InitKind::Zero, InitKind::Constant(1.0)];
         let budgets = [5u64, 9];
-        assert_lanes_match_scalar(&p, &inits, &ExecConfig::default(), Some(&budgets));
+        assert_lanes_match_reference(&p, &inits, &ExecConfig::default(), Some(&budgets));
     }
 
     #[test]
@@ -791,7 +796,7 @@ mod tests {
         // must keep the budget error; lane 1 reaches the fault.
         let inits = [InitKind::Zero, InitKind::Constant(1.0)];
         let budgets = [2u64, u64::MAX];
-        assert_lanes_match_scalar(&p, &inits, &ExecConfig::default(), Some(&budgets));
+        assert_lanes_match_reference(&p, &inits, &ExecConfig::default(), Some(&budgets));
     }
 
     #[test]
@@ -800,16 +805,12 @@ mod tests {
             "param N = 10;\narray A[N];\nout A;\n#pragma scop\n#pragma omp parallel for\nfor (i = 1; i <= N - 1; i++) A[i] = A[i - 1] + 1.0;\n#pragma endscop\n",
         );
         let inits = [InitKind::default_pattern(), InitKind::Constant(3.0)];
-        for order in [
-            ParallelOrder::Forward,
-            ParallelOrder::Reverse,
-            ParallelOrder::EvenOdd,
-        ] {
+        for order in ParallelOrder::ALL {
             let cfg = ExecConfig {
                 parallel_order: order,
                 ..Default::default()
             };
-            assert_lanes_match_scalar(&p, &inits, &cfg, None);
+            assert_lanes_match_reference(&p, &inits, &cfg, None);
         }
     }
 
@@ -818,13 +819,13 @@ mod tests {
         let p = gemm();
         let outputs = p.outputs.clone();
         let mut batch = BatchStore::from_program(&p, 2);
-        batch.fill_lane(1, "A", &InitKind::Constant(1.5));
+        batch.fill_lane(1, &vec![("A".into(), InitKind::Constant(1.5))]);
         let cp = CompiledProgram::compile(&p);
         cp.run_batched(&mut batch, &ExecConfig::default(), None);
         for lane in 0..2 {
             let store = batch.lane_store(lane);
             assert_eq!(
-                batch.checksum_lane(lane, &outputs).to_bits(),
+                batch.checksum_lanes(&outputs)[lane].to_bits(),
                 store.checksum(&outputs).to_bits(),
                 "lane {lane} checksum"
             );
@@ -853,14 +854,14 @@ mod tests {
         );
         let outputs = p.outputs.clone();
         let mut batch = BatchStore::from_program(&p, 2);
-        batch.fill_lane(0, "B", &InitKind::Zero);
-        batch.fill_lane(1, "B", &InitKind::Constant(2.0));
+        batch.fill_lane(0, &vec![("B".into(), InitKind::Zero)]);
+        batch.fill_lane(1, &vec![("B".into(), InitKind::Constant(2.0))]);
         CompiledProgram::compile(&p).run_batched(&mut batch, &ExecConfig::default(), None);
         let all = batch.checksum_lanes(&outputs);
         for (lane, sum) in all.iter().enumerate() {
             assert_eq!(
                 sum.to_bits(),
-                batch.checksum_lane(lane, &outputs).to_bits(),
+                batch.lane_store(lane).checksum(&outputs).to_bits(),
                 "lane {lane}"
             );
         }

@@ -17,13 +17,13 @@
 //!
 //! The compiled form is immutable and reusable: differential testing
 //! compiles the original and the candidate once and runs the same
-//! [`CompiledProgram`] across every input and iteration order.
-//! Semantics are validated against the reference tree-walker
+//! [`CompiledProgram`] across every input and iteration order. It has one
+//! interpreter, the lane engine [`CompiledProgram::run_batched`]; a
+//! single run is a one-lane batch ([`crate::run`]). Semantics are
+//! validated against the reference tree-walker
 //! ([`crate::run_with_store_reference`]) by differential self-tests.
 
-use crate::coverage::Coverage;
-use crate::interp::{ExecConfig, ExecError, ExecStats, ParallelOrder};
-use crate::store::ArrayStore;
+use crate::interp::ExecError;
 use looprag_ir::{AssignOp, BinOp, Bound, CmpOp, Expr, MathFn, Node, Program, Statement};
 use std::collections::HashMap;
 
@@ -366,296 +366,33 @@ impl CompiledProgram {
     pub fn num_loop_sites(&self) -> usize {
         self.n_loops
     }
-
-    /// Runs the compiled program against `store` under `cfg`.
-    /// Behaviourally identical to running the source
-    /// program through [`crate::run_with_store_reference`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] on out-of-bounds accesses, budget
-    /// exhaustion, or unbound symbols.
-    pub fn run_with_store(
-        &self,
-        store: &mut ArrayStore,
-        cfg: &ExecConfig,
-    ) -> Result<ExecStats, ExecError> {
-        // Resolve interned array ids to dense store indexes once.
-        let store_idx: Vec<Option<u32>> = self
-            .arrays
-            .iter()
-            .map(|n| store.index_of(n).map(|i| i as u32))
-            .collect();
-        let mut m = Machine {
-            cp: self,
-            store,
-            budget: cfg.stmt_budget,
-            order: cfg.parallel_order,
-            executed: 0,
-            coverage: Coverage::with_sites(self.n_ifs, self.n_loops),
-            frame: vec![0; self.n_slots],
-            stack: Vec::with_capacity(16),
-            dims: Vec::with_capacity(4),
-            store_idx,
-        };
-        for n in &self.body {
-            m.exec_node(n)?;
-        }
-        Ok(ExecStats {
-            stmts_executed: m.executed,
-            coverage: m.coverage,
-        })
-    }
-}
-
-struct Machine<'c, 's> {
-    cp: &'c CompiledProgram,
-    store: &'s mut ArrayStore,
-    budget: u64,
-    order: ParallelOrder,
-    executed: u64,
-    coverage: Coverage,
-    /// One value per active loop-nest depth.
-    frame: Vec<i64>,
-    /// Postfix evaluation stack, reused across statements.
-    stack: Vec<f64>,
-    /// Subscript scratch buffer, reused across accesses.
-    dims: Vec<i64>,
-    /// Interned array id -> dense store index (`None` when absent).
-    store_idx: Vec<Option<u32>>,
-}
-
-impl<'c> Machine<'c, '_> {
-    /// Evaluates an access's subscripts and bounds-checks them, returning
-    /// `(store_index, flat_element_index)`.
-    fn resolve(&mut self, acc: &'c CAccess, stmt: usize) -> Result<(u32, usize), ExecError> {
-        self.dims.clear();
-        for d in acc.dims.iter() {
-            let v = d.eval(&self.frame)?;
-            self.dims.push(v);
-        }
-        let Some(idx) = self.store_idx[acc.array as usize] else {
-            return Err(ExecError::Unbound(
-                self.cp.arrays[acc.array as usize].clone(),
-            ));
-        };
-        // Same bounds semantics as the reference walker, by construction:
-        // both delegate to `ArrayData::flatten`.
-        match self.store.at(idx as usize).flatten(&self.dims) {
-            Some(flat) => Ok((idx, flat)),
-            None => Err(ExecError::OutOfBounds {
-                array: self.cp.arrays[acc.array as usize].clone(),
-                indexes: self.dims.clone(),
-                stmt,
-            }),
-        }
-    }
-
-    /// Evaluates a statement's postfix op stream.
-    fn eval_ops(&mut self, s: &'c CStmt) -> Result<f64, ExecError> {
-        let cp = self.cp;
-        self.stack.clear();
-        for op in &cp.ops[s.ops.0 as usize..s.ops.1 as usize] {
-            match op {
-                Op::Const(v) => self.stack.push(*v),
-                Op::Slot(i) => self.stack.push(self.frame[*i as usize] as f64),
-                Op::Load(a) => {
-                    let acc = &cp.accesses[*a as usize];
-                    let (idx, flat) = self.resolve(acc, s.id)?;
-                    self.stack.push(self.store.at(idx as usize).data[flat]);
-                }
-                Op::UnboundSym(i) => {
-                    return Err(ExecError::Unbound(cp.syms[*i as usize].clone()));
-                }
-                Op::Neg => {
-                    let v = self.stack.pop().expect("stack underflow");
-                    self.stack.push(-v);
-                }
-                Op::Bin(b) => {
-                    let y = self.stack.pop().expect("stack underflow");
-                    let x = self.stack.pop().expect("stack underflow");
-                    self.stack.push(b.apply(x, y));
-                }
-                Op::Call(f, n) => {
-                    // The top `n` stack values are the arguments in
-                    // order; apply on the slice so any arity matches
-                    // the reference walker's collected-Vec call.
-                    let start = self
-                        .stack
-                        .len()
-                        .checked_sub(*n as usize)
-                        .expect("stack underflow");
-                    let v = f.apply(&self.stack[start..]);
-                    self.stack.truncate(start);
-                    self.stack.push(v);
-                }
-            }
-        }
-        Ok(self.stack.pop().expect("empty op stream"))
-    }
-
-    fn exec_stmt(&mut self, s: &'c CStmt) -> Result<(), ExecError> {
-        if self.executed >= self.budget {
-            return Err(ExecError::BudgetExceeded {
-                budget: self.budget,
-            });
-        }
-        self.executed += 1;
-        let rhs = self.eval_ops(s)?;
-        let lhs = &self.cp.accesses[s.lhs as usize];
-        let (idx, flat) = self.resolve(lhs, s.id)?;
-        let slot = &mut self.store.at_mut(idx as usize).data[flat];
-        *slot = s.op.apply(*slot, rhs);
-        Ok(())
-    }
-
-    #[inline]
-    fn iteration(&mut self, l: &'c CLoop, v: i64) -> Result<(), ExecError> {
-        self.frame[l.slot as usize] = v;
-        for child in l.body.iter() {
-            self.exec_node(child)?;
-        }
-        Ok(())
-    }
-
-    fn exec_loop(&mut self, l: &'c CLoop) -> Result<(), ExecError> {
-        let lb = l.lb.eval(&self.frame)?;
-        let mut ub = l.ub.eval(&self.frame)?;
-        if !l.ub_inclusive {
-            ub -= 1;
-        }
-        let site = l.site as usize;
-        if ub < lb {
-            self.coverage.loops[site].1 = true;
-            return Ok(());
-        }
-        self.coverage.loops[site].0 = true;
-        let step = l.step;
-        // The parser enforces positive steps, but hand-built trees may
-        // carry degenerate ones; both engines define those as a single
-        // iteration at the lower bound (see the reference walker).
-        if step <= 0 {
-            return self.iteration(l, lb);
-        }
-        let order = if l.parallel {
-            self.order
-        } else {
-            ParallelOrder::Forward
-        };
-        match order {
-            // The common case iterates the range directly — no
-            // materialized iteration vector, no allocation.
-            ParallelOrder::Forward => {
-                let mut v = lb;
-                loop {
-                    self.iteration(l, v)?;
-                    match v.checked_add(step) {
-                        Some(n) if n <= ub => v = n,
-                        _ => break,
-                    }
-                }
-            }
-            ParallelOrder::Reverse => {
-                let trips = (ub - lb) / step + 1;
-                let mut k = trips - 1;
-                while k >= 0 {
-                    self.iteration(l, lb + k * step)?;
-                    k -= 1;
-                }
-            }
-            ParallelOrder::EvenOdd => {
-                let trips = (ub - lb) / step + 1;
-                let mut k = 0;
-                while k < trips {
-                    self.iteration(l, lb + k * step)?;
-                    k += 2;
-                }
-                let mut k = 1;
-                while k < trips {
-                    self.iteration(l, lb + k * step)?;
-                    k += 2;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn exec_node(&mut self, n: &'c CNode) -> Result<(), ExecError> {
-        match n {
-            CNode::Stmt(s) => self.exec_stmt(s),
-            CNode::Loop(l) => self.exec_loop(l),
-            CNode::If { conds, site, then } => {
-                let mut taken = true;
-                for (lhs, op, rhs) in conds.iter() {
-                    let a = lhs.eval(&self.frame)?;
-                    let b = rhs.eval(&self.frame)?;
-                    if !op.eval(a, b) {
-                        taken = false;
-                        break;
-                    }
-                }
-                if taken {
-                    self.coverage.ifs[*site as usize].0 = true;
-                    for child in then.iter() {
-                        self.exec_node(child)?;
-                    }
-                } else {
-                    self.coverage.ifs[*site as usize].1 = true;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Compiles `p` and runs it against `store` under `cfg`.
-///
-/// This is the main execution entry point; callers that run the same
-/// program repeatedly should call [`CompiledProgram::compile`] once and
-/// reuse it. The uncompiled tree-walker remains available as
-/// [`crate::run_with_store_reference`] for differential validation.
-///
-/// # Errors
-///
-/// Returns [`ExecError`] on out-of-bounds accesses, budget exhaustion, or
-/// unbound symbols.
-pub fn run_with_store(
-    p: &Program,
-    store: &mut ArrayStore,
-    cfg: &ExecConfig,
-) -> Result<ExecStats, ExecError> {
-    CompiledProgram::compile(p).run_with_store(store, cfg)
-}
-
-/// Allocates the program's arrays, runs it, and returns the final store.
-///
-/// # Errors
-///
-/// Returns [`ExecError`] as in [`run_with_store`].
-pub fn run(p: &Program, cfg: &ExecConfig) -> Result<(ArrayStore, ExecStats), ExecError> {
-    let mut store = ArrayStore::from_program(p);
-    let stats = run_with_store(p, &mut store, cfg)?;
-    Ok((store, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::run_with_store_reference;
-    use looprag_ir::compile as compile_src;
+    use crate::interp::{run_with_store_reference, ExecConfig, ExecStats, ParallelOrder};
+    use crate::{run, ArrayStore, BatchStore};
+    use looprag_ir::{compile as compile_src, InitKind};
 
     fn program(src: &str) -> Program {
         compile_src(src, "t").unwrap()
     }
 
-    /// Runs both engines on fresh stores and asserts bit-identical
-    /// results (stores, stats, coverage — or identical errors).
-    fn assert_engines_agree(p: &Program, cfg: &ExecConfig) {
+    /// Runs `p` as a one-lane batch and through the reference walker on
+    /// fresh stores and asserts bit-identical results: the stores (the
+    /// partial ones too, on errors), stats and coverage, or identical
+    /// errors. Returns the shared outcome.
+    fn assert_engines_agree(p: &Program, cfg: &ExecConfig) -> Result<ExecStats, ExecError> {
         let mut s_ref = ArrayStore::from_program(p);
-        let mut s_new = ArrayStore::from_program(p);
         let r_ref = run_with_store_reference(p, &mut s_ref, cfg);
-        let r_new = CompiledProgram::compile(p).run_with_store(&mut s_new, cfg);
+        let mut batch = BatchStore::from_program(p, 1);
+        let r_new = CompiledProgram::compile(p)
+            .run_batched(&mut batch, cfg, None)
+            .remove(0);
         assert_eq!(r_ref, r_new, "engine outcomes diverge");
+        let s_new = batch.lane_store(0);
+        assert_eq!(s_ref.len(), s_new.len());
         for (name, a) in s_ref.iter() {
             let b = s_new.get(name).unwrap();
             assert_eq!(a.extents, b.extents);
@@ -663,6 +400,7 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "{name}[{i}]: {x} vs {y}");
             }
         }
+        r_new
     }
 
     #[test]
@@ -670,7 +408,7 @@ mod tests {
         let p = program(
             "param N = 12;\narray C[N][N];\narray A[N][N];\narray B[N][N];\nout C;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) for (j = 0; j <= N - 1; j++) for (k = 0; k <= N - 1; k++) C[i][j] += A[i][k] * B[k][j];\n#pragma endscop\n",
         );
-        assert_engines_agree(&p, &ExecConfig::default());
+        assert_engines_agree(&p, &ExecConfig::default()).unwrap();
     }
 
     #[test]
@@ -678,23 +416,19 @@ mod tests {
         let p = program(
             "param N = 9;\ndouble s;\narray A[N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) { s = sqrt(A[i] + 2.0); if (i >= 3) A[i] = fmax(s, -(A[i] / 3.0)); }\n#pragma endscop\n",
         );
-        assert_engines_agree(&p, &ExecConfig::default());
+        assert_engines_agree(&p, &ExecConfig::default()).unwrap();
     }
 
     #[test]
     fn matches_reference_under_permuted_orders() {
         let src = "param N = 10;\narray A[N];\nout A;\n#pragma scop\n#pragma omp parallel for\nfor (i = 1; i <= N - 1; i++) A[i] = A[i - 1] + 1.0;\n#pragma endscop\n";
         let p = program(src);
-        for order in [
-            ParallelOrder::Forward,
-            ParallelOrder::Reverse,
-            ParallelOrder::EvenOdd,
-        ] {
+        for order in ParallelOrder::ALL {
             let cfg = ExecConfig {
                 parallel_order: order,
                 ..Default::default()
             };
-            assert_engines_agree(&p, &cfg);
+            assert_engines_agree(&p, &cfg).unwrap();
         }
     }
 
@@ -703,16 +437,9 @@ mod tests {
         let p = program(
             "param N = 4;\narray A[N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) A[i + 1] = 1.0;\n#pragma endscop\n",
         );
-        let cfg = ExecConfig::default();
-        let mut s_ref = ArrayStore::from_program(&p);
-        let mut s_new = ArrayStore::from_program(&p);
-        let e_ref = run_with_store_reference(&p, &mut s_ref, &cfg).unwrap_err();
-        let e_new = CompiledProgram::compile(&p)
-            .run_with_store(&mut s_new, &cfg)
-            .unwrap_err();
-        assert_eq!(e_ref, e_new);
         // The partial stores (writes before the fault) must also agree.
-        assert_eq!(s_ref, s_new);
+        let e = assert_engines_agree(&p, &ExecConfig::default()).unwrap_err();
+        assert!(matches!(e, ExecError::OutOfBounds { .. }), "{e}");
     }
 
     #[test]
@@ -724,13 +451,10 @@ mod tests {
             stmt_budget: 7,
             ..Default::default()
         };
-        let mut s_ref = ArrayStore::from_program(&p);
-        let mut s_new = ArrayStore::from_program(&p);
         assert_eq!(
-            run_with_store_reference(&p, &mut s_ref, &cfg),
-            CompiledProgram::compile(&p).run_with_store(&mut s_new, &cfg)
+            assert_engines_agree(&p, &cfg),
+            Err(ExecError::BudgetExceeded { budget: 7 })
         );
-        assert_eq!(s_ref, s_new);
     }
 
     #[test]
@@ -776,7 +500,7 @@ mod tests {
         ));
         p.body = vec![outer];
         p.renumber_statements();
-        assert_engines_agree(&p, &ExecConfig::default());
+        assert_engines_agree(&p, &ExecConfig::default()).unwrap();
     }
 
     #[test]
@@ -804,7 +528,7 @@ mod tests {
         ))];
         p.renumber_statements();
         let cfg = ExecConfig::default();
-        assert_engines_agree(&p, &cfg);
+        assert_engines_agree(&p, &cfg).unwrap();
         // And when the loop does trip, both engines report the same
         // unbound symbol.
         let mut live = p.clone();
@@ -813,14 +537,8 @@ mod tests {
         };
         l.ub = Bound::constant(0);
         l.lb = Bound::constant(0);
-        let mut s_ref = ArrayStore::from_program(&live);
-        let mut s_new = ArrayStore::from_program(&live);
-        let e_ref = run_with_store_reference(&live, &mut s_ref, &cfg).unwrap_err();
-        let e_new = CompiledProgram::compile(&live)
-            .run_with_store(&mut s_new, &cfg)
-            .unwrap_err();
-        assert_eq!(e_ref, e_new);
-        assert!(matches!(e_new, ExecError::Unbound(ref s) if s == "ghost"));
+        let e = assert_engines_agree(&live, &cfg).unwrap_err();
+        assert!(matches!(e, ExecError::Unbound(ref s) if s == "ghost"));
     }
 
     #[test]
@@ -847,16 +565,12 @@ mod tests {
             l.parallel = true;
             p.body = vec![Node::Loop(l)];
             p.renumber_statements();
-            for order in [
-                ParallelOrder::Forward,
-                ParallelOrder::Reverse,
-                ParallelOrder::EvenOdd,
-            ] {
+            for order in ParallelOrder::ALL {
                 let cfg = ExecConfig {
                     parallel_order: order,
                     ..Default::default()
                 };
-                assert_engines_agree(&p, &cfg);
+                assert_engines_agree(&p, &cfg).unwrap();
             }
             let (store, stats) = run(&p, &ExecConfig::default()).unwrap();
             assert_eq!(stats.stmts_executed, 1, "step {step}");
@@ -898,7 +612,7 @@ mod tests {
             vec![stmt],
         ))];
         p.renumber_statements();
-        assert_engines_agree(&p, &ExecConfig::default());
+        assert_engines_agree(&p, &ExecConfig::default()).unwrap();
     }
 
     #[test]
@@ -909,10 +623,11 @@ mod tests {
         let cp = CompiledProgram::compile(&p);
         let cfg = ExecConfig::default();
         for fill in [0.0, 1.5, -3.0] {
-            let mut store = ArrayStore::from_program(&p);
-            store.get_mut("A").unwrap().data.fill(fill);
-            cp.run_with_store(&mut store, &cfg).unwrap();
+            let mut store = BatchStore::from_program(&p, 1);
+            store.fill_lane(0, &vec![("A".to_string(), InitKind::Constant(fill))]);
+            cp.run_batched(&mut store, &cfg, None).remove(0).unwrap();
             assert!(store
+                .lane_store(0)
                 .get("A")
                 .unwrap()
                 .data

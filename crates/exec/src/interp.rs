@@ -9,12 +9,12 @@
 //!   illegally parallelized loops produce genuinely divergent results.
 //!
 //! This walker is the *semantic oracle*: the production execution path is
-//! the bytecode engine in [`crate::CompiledProgram`], which is validated
-//! differentially against [`run_with_store_reference`].
+//! the lane engine [`crate::CompiledProgram::run_batched`], every lane of
+//! which is validated differentially against [`run_with_store_reference`].
 
 use crate::coverage::Coverage;
 use crate::store::ArrayStore;
-use looprag_ir::{Expr, Loop, Node, Program, Statement};
+use looprag_ir::{has_parallel_loop, Expr, Loop, Node, Program, Statement};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -32,6 +32,27 @@ pub enum ParallelOrder {
     Reverse,
     /// Even iterations first, then odd ones (block-cyclic-ish schedule).
     EvenOdd,
+}
+
+impl ParallelOrder {
+    /// Every order, [`ParallelOrder::Forward`] first.
+    pub const ALL: [ParallelOrder; 3] = [
+        ParallelOrder::Forward,
+        ParallelOrder::Reverse,
+        ParallelOrder::EvenOdd,
+    ];
+
+    /// The orders `p` must survive to count as equivalent to its
+    /// sequential run: all of them when it marks any loop parallel, only
+    /// [`ParallelOrder::Forward`] otherwise (the other orders would rerun
+    /// the same schedule).
+    pub fn probes(p: &Program) -> &'static [ParallelOrder] {
+        if has_parallel_loop(p) {
+            &Self::ALL
+        } else {
+            &[ParallelOrder::Forward]
+        }
+    }
 }
 
 /// Execution limits and knobs.
@@ -335,9 +356,9 @@ impl Interp<'_, '_> {
 /// tree-walker**.
 ///
 /// This path re-resolves every symbol and array name per access; use it
-/// as the differential-testing oracle for the bytecode engine
-/// ([`crate::CompiledProgram`]), not as the production execution path
-/// ([`crate::run_with_store`]).
+/// as the differential-testing oracle for the lane engine
+/// ([`crate::CompiledProgram::run_batched`]), not as the production
+/// execution path.
 ///
 /// # Errors
 ///
@@ -376,7 +397,7 @@ pub fn run_with_store_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::run;
+    use crate::run;
     use looprag_ir::compile;
 
     fn program(src: &str) -> Program {
@@ -467,11 +488,7 @@ mod tests {
         let src = "param N = 8;\narray A[N];\nout A;\n#pragma scop\n#pragma omp parallel for\nfor (i = 0; i <= N - 1; i++) A[i] = A[i] * 2.0;\n#pragma endscop\n";
         let p = program(src);
         let mut results = Vec::new();
-        for order in [
-            ParallelOrder::Forward,
-            ParallelOrder::Reverse,
-            ParallelOrder::EvenOdd,
-        ] {
+        for order in ParallelOrder::ALL {
             let cfg = ExecConfig {
                 parallel_order: order,
                 ..Default::default()

@@ -1,29 +1,37 @@
 //! # looprag-exec
 //!
 //! The execution substrate for differential testing, coverage-guided
-//! test selection and the machine performance model: a
-//! compile-to-bytecode engine ([`CompiledProgram`]) validated against a
-//! reference tree-walking interpreter
+//! test selection and the transform oracle: programs are compiled once
+//! to a bytecode form ([`CompiledProgram`]) and run by one interpreter,
+//! the lane engine ([`CompiledProgram::run_batched`]), which runs many
+//! inputs of one program as the lanes of a [`BatchStore`]. Every lane is
+//! validated against the reference tree-walking interpreter
 //! ([`run_with_store_reference`]).
 //!
 //! Programs are lowered **once** — array names interned to dense ids,
 //! symbols resolved to frame slots, RHS expressions flattened to a
 //! postfix op stream, coverage sites numbered — and the compiled form is
-//! then reused across every input and iteration order.
+//! then reused across every input and iteration order. A lane's input is
+//! an [`InputSpec`].
 //!
 //! ```
-//! use looprag_exec::{run, ArrayStore, CompiledProgram, ExecConfig};
+//! use looprag_exec::{run, BatchStore, CompiledProgram, ExecConfig};
+//! use looprag_ir::InitKind;
 //! let src = "param N = 4;\narray A[N];\nout A;\n#pragma scop\n\
-//! for (i = 0; i <= N - 1; i++) A[i] = 1.0;\n#pragma endscop\n";
+//! for (i = 0; i <= N - 1; i++) A[i] += 1.0;\n#pragma endscop\n";
 //! let p = looprag_ir::compile(src, "k")?;
-//! // One-shot convenience (compiles internally):
+//! // One-shot convenience (compiles internally, runs one lane):
 //! let (store, stats) = run(&p, &ExecConfig::default())?;
 //! assert_eq!(stats.stmts_executed, 4);
-//! assert_eq!(store.get("A").unwrap().data, vec![1.0; 4]);
-//! // Compile once, run many times:
+//! // Compile once, run many inputs as the lanes of one batch:
 //! let compiled = CompiledProgram::compile(&p);
-//! let mut store = ArrayStore::from_program(&p);
-//! compiled.run_with_store(&mut store, &ExecConfig::default())?;
+//! let mut lanes = BatchStore::from_program(&p, 2);
+//! lanes.fill_lane(1, &vec![("A".to_string(), InitKind::Constant(2.0))]);
+//! for outcome in compiled.run_batched(&mut lanes, &ExecConfig::default(), None) {
+//!     outcome?;
+//! }
+//! assert_eq!(lanes.lane_store(0), store);
+//! assert_eq!(lanes.lane_store(1).get("A").unwrap().data, vec![3.0; 4]);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -35,8 +43,8 @@ mod coverage;
 mod interp;
 mod store;
 
-pub use batch::BatchStore;
-pub use compile::{run, run_with_store, CompiledProgram};
+pub use batch::{run, BatchStore};
+pub use compile::CompiledProgram;
 pub use coverage::Coverage;
 pub use interp::{run_with_store_reference, ExecConfig, ExecError, ExecStats, ParallelOrder};
-pub use store::{ArrayData, ArrayStore};
+pub use store::{ArrayData, ArrayStore, InputSpec};

@@ -1,13 +1,18 @@
-//! Array storage for program execution.
+//! Array storage for one memory image.
 //!
 //! The store is a dense `Vec<ArrayData>` indexed by a per-store array
-//! index, with a name→index map kept only for construction, diffing and
-//! display. The hot execution path ([`crate::CompiledProgram`]) resolves
-//! names to indexes once per run and then touches only the dense vector.
+//! index, with a name→index map. It is what the reference walker runs
+//! against and what [`crate::BatchStore::lane_store`] extracts from a
+//! lane; the lane engine itself runs on [`crate::BatchStore`].
 
 use looprag_ir::{checked_elements, InitKind, Program};
 use std::collections::HashMap;
 use std::fmt;
+
+/// One test input: an initialization per (non-local) array, applied over
+/// a store built by `from_program`. Arrays it does not name keep the
+/// program's own inits; names the store does not hold are ignored.
+pub type InputSpec = Vec<(String, InitKind)>;
 
 /// One allocated array: concrete extents plus row-major `f64` data.
 #[derive(Debug, Clone, PartialEq)]

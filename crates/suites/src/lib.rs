@@ -125,7 +125,7 @@ pub fn suite_strided(which: Suite, stride: usize) -> Vec<Benchmark> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use looprag_exec::{run_with_store, ArrayStore, ExecConfig};
+    use looprag_exec::{run, ExecConfig};
     use looprag_transform::scaled_clone;
 
     #[test]
@@ -152,14 +152,17 @@ mod tests {
     fn every_kernel_executes_without_faults_at_scaled_size() {
         for b in all_benchmarks() {
             let p = scaled_clone(&b.program(), 10);
-            let mut store = ArrayStore::from_program(&p);
             let cfg = ExecConfig {
                 stmt_budget: 5_000_000,
                 ..Default::default()
             };
-            let r = run_with_store(&p, &mut store, &cfg);
+            let r = run(&p, &cfg);
             assert!(r.is_ok(), "{} faults: {:?}", b.name, r.err());
-            assert!(r.unwrap().stmts_executed > 0, "{} executed nothing", b.name);
+            assert!(
+                r.unwrap().1.stmts_executed > 0,
+                "{} executed nothing",
+                b.name
+            );
         }
     }
 

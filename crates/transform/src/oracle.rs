@@ -19,11 +19,11 @@
 //!
 //! The initial memory images are the *lanes* of one
 //! [`CompiledProgram::run_batched`] sweep: lane 0 holds the program's own
-//! inits, lane `k ≥ 1` every non-local array filled with
-//! `cfg.extra_inits[k - 1]` ([`BatchStore::fill_lane`]). Control flow is
-//! data-independent, so one sweep runs every image; the candidate gets
-//! one sweep per [`ParallelOrder`] it must survive, and each lane is
-//! compared with [`BatchStore::element_diff_lane`].
+//! inits (an empty [`InputSpec`]), lane `k ≥ 1` every non-local array
+//! filled with `cfg.extra_inits[k - 1]` ([`BatchStore::fill_lane`]).
+//! Control flow is data-independent, so one sweep runs every image; the
+//! candidate gets one sweep per order of [`ParallelOrder::probes`], and
+//! each lane is compared with [`BatchStore::element_diff_lane`].
 //!
 //! # Memo lifetime
 //!
@@ -38,10 +38,11 @@
 //!
 //! # The reference oracle
 //!
-//! [`semantics_preserving_reference`] is the scalar form: one
-//! [`run`] per image and order, nothing cached. It is the transform
-//! layer's one reference oracle; `tests/oracle.rs` pins
-//! [`OracleTarget::check`] to it. It is not metered.
+//! [`semantics_preserving_reference`] is the unbatched form: one
+//! [`run`] per image and order, each a one-lane batch, nothing cached and
+//! no image shared. It is the transform layer's one reference oracle;
+//! `tests/oracle.rs` pins [`OracleTarget::check`] to it. It is not
+//! metered.
 //!
 //! # Work units
 //!
@@ -50,8 +51,8 @@
 //! batched run of the original).
 
 use looprag_dependence::scaled_params;
-use looprag_exec::{run, BatchStore, CompiledProgram, ExecConfig, ParallelOrder};
-use looprag_ir::{adaptive_sampling_cap, has_parallel_loop, InitKind, Program};
+use looprag_exec::{run, BatchStore, CompiledProgram, ExecConfig, InputSpec, ParallelOrder};
+use looprag_ir::{adaptive_sampling_cap, InitKind, Program};
 use std::sync::OnceLock;
 
 /// Oracle configuration.
@@ -122,20 +123,6 @@ fn sampling_cap(original: &Program, candidate: &Program, cfg: &OracleConfig) -> 
     cap(candidate).max(cap(original))
 }
 
-/// The parallel orders a candidate must survive: all three when it
-/// marks any loop parallel, the sequential one otherwise.
-fn orders(candidate: &Program) -> &'static [ParallelOrder] {
-    if has_parallel_loop(candidate) {
-        &[
-            ParallelOrder::Forward,
-            ParallelOrder::Reverse,
-            ParallelOrder::EvenOdd,
-        ]
-    } else {
-        &[ParallelOrder::Forward]
-    }
-}
-
 /// True when `candidate` computes the same outputs as `original` on every
 /// sampled configuration, including under permuted parallel schedules.
 ///
@@ -149,9 +136,8 @@ pub fn semantics_preserving(original: &Program, candidate: &Program, cfg: &Oracl
     OracleTarget::new(original, cfg).check(candidate)
 }
 
-/// The scalar reference oracle: [`semantics_preserving`] with one
-/// [`run`] per initial-value image and parallel order, and no memo.
-/// Unmetered.
+/// The reference oracle: [`semantics_preserving`] with one [`run`] per
+/// initial-value image and parallel order, and no memo. Unmetered.
 pub fn semantics_preserving_reference(
     original: &Program,
     candidate: &Program,
@@ -178,7 +164,7 @@ pub fn semantics_preserving_reference(
             // The original must execute; if it cannot, nothing is checkable.
             return false;
         };
-        for &order in orders(c) {
+        for &order in ParallelOrder::probes(c) {
             let ccfg = ExecConfig {
                 stmt_budget: cfg.stmt_budget,
                 parallel_order: order,
@@ -218,11 +204,19 @@ fn oracle_metrics() -> &'static OracleMetrics {
 /// program's own inits, lane `k` every non-local array filled with
 /// `extra[k - 1]`.
 fn init_lanes(p: &Program, extra: &[InitKind]) -> BatchStore {
-    let mut store = BatchStore::from_program(p, 1 + extra.len());
-    for decl in p.arrays.iter().filter(|a| !a.local) {
-        for (k, init) in extra.iter().enumerate() {
-            store.fill_lane(k + 1, &decl.name, init);
-        }
+    let fill_all = |init: &InitKind| -> InputSpec {
+        p.arrays
+            .iter()
+            .filter(|a| !a.local)
+            .map(|a| (a.name.clone(), init.clone()))
+            .collect()
+    };
+    let inputs: Vec<InputSpec> = std::iter::once(InputSpec::new())
+        .chain(extra.iter().map(fill_all))
+        .collect();
+    let mut store = BatchStore::from_program(p, inputs.len());
+    for (lane, input) in inputs.iter().enumerate() {
+        store.fill_lane(lane, input);
     }
     store
 }
@@ -290,7 +284,7 @@ impl<'a> OracleTarget<'a> {
         let cand = scaled_clone(candidate, cap);
         let compiled = CompiledProgram::compile(&cand);
         let init = init_lanes(&cand, &cfg.extra_inits);
-        orders(&cand).iter().all(|&order| {
+        ParallelOrder::probes(&cand).iter().all(|&order| {
             let mut store = init.clone();
             let ecfg = ExecConfig {
                 stmt_budget: cfg.stmt_budget,

@@ -6,7 +6,7 @@
 //! * [`looprag_ir`] — SCoP IR, C-subset parser/printer, validation
 //! * [`looprag_dependence`] — dependence analysis and legality queries
 //! * [`looprag_transform`] — loop transformations and recipes
-//! * [`looprag_exec`] — reference interpreter
+//! * [`looprag_exec`] — the lane-batched interpreter and its reference tree-walker
 //! * [`looprag_machine`] — cache/vector/parallel performance model
 //! * [`looprag_polyopt`] — PLuTo-style auto-optimizer
 //! * [`looprag_synth`] — parameter-driven dataset synthesis

@@ -1,26 +1,25 @@
-//! Differential self-test of the bytecode execution engine against the
-//! reference tree-walker, and of the batched (structure-of-arrays)
-//! engine against scalar runs.
+//! Differential self-test of the lane engine against the reference
+//! tree-walker.
 //!
-//! The bytecode engine ([`CompiledProgram`]) is the production execution
-//! path for every pipeline verdict; these tests pin it to the reference
-//! interpreter bit-for-bit: identical stores (to the last mantissa bit),
-//! identical `stmts_executed`, identical branch coverage, and identical
-//! errors — across all 134 suite kernels, all parallel iteration orders,
-//! the eqcheck seed inputs, and randomly synthesized programs. The
-//! batched path is pinned the same way: every lane of a
-//! [`BatchStore`] run must be bit-identical to a scalar run of that
-//! input (including lanes that fault or exhaust their budget
-//! mid-batch), and batched `differential_test` verdicts must equal the
-//! reference oracle on every kernel.
+//! The lane engine ([`CompiledProgram::run_batched`]) is the one
+//! production interpreter behind every pipeline verdict; these tests pin
+//! every lane of it to a reference run of that lane's input and budget,
+//! bit-for-bit: identical stores (to the last mantissa bit, the partial
+//! stores of lanes that fault or exhaust their budget mid-batch
+//! included), identical `stmts_executed`, identical branch coverage, and
+//! identical errors — across all 134 suite kernels, all parallel
+//! iteration orders, the eqcheck seed inputs, and randomly synthesized
+//! programs. A single run is the one-lane case. Batched
+//! `differential_test` verdicts must equal the reference oracle on every
+//! kernel.
 
 use looprag::looprag_eqcheck::{
     build_test_suite, differential_test, differential_test_reference, mutate_input, seed_inputs,
     EqCheckConfig, TestVerdict,
 };
 use looprag::looprag_exec::{
-    run_with_store_reference, ArrayStore, BatchStore, CompiledProgram, ExecConfig, ExecStats,
-    ParallelOrder,
+    run_with_store_reference, ArrayStore, BatchStore, CompiledProgram, ExecConfig, ExecError,
+    ExecStats, InputSpec, ParallelOrder,
 };
 use looprag::looprag_ir::{InitKind, Program};
 use looprag::looprag_suites::all_benchmarks;
@@ -50,34 +49,65 @@ fn assert_stores_bit_identical(a: &ArrayStore, b: &ArrayStore, ctx: &str) {
     }
 }
 
-/// Runs `p` through both engines on identically initialized stores and
-/// asserts bit-identical outcomes. Returns the (shared) result.
-fn assert_engines_agree(
+/// Runs `p` batched with one lane per input and asserts every lane is
+/// bit-identical (outcome and store) to a reference run of that input
+/// with that lane's budget. Returns the per-lane outcomes.
+fn assert_lanes_match_reference(
     p: &Program,
-    init: impl Fn(&mut ArrayStore),
-    cfg: &ExecConfig,
+    inputs: &[InputSpec],
+    order: ParallelOrder,
+    budgets: &[u64],
     ctx: &str,
-) -> Result<ExecStats, looprag::looprag_exec::ExecError> {
-    let mut s_ref = ArrayStore::from_program(p);
-    let mut s_new = ArrayStore::from_program(p);
-    init(&mut s_ref);
-    init(&mut s_new);
-    let r_ref = run_with_store_reference(p, &mut s_ref, cfg);
-    let r_new = CompiledProgram::compile(p).run_with_store(&mut s_new, cfg);
-    assert_eq!(r_ref, r_new, "{ctx}: engine outcomes diverge");
-    // Even on errors the partial stores must agree.
-    assert_stores_bit_identical(&s_ref, &s_new, ctx);
-    r_new
+) -> Vec<Result<ExecStats, ExecError>> {
+    let mut batch = BatchStore::from_program(p, inputs.len());
+    for (lane, input) in inputs.iter().enumerate() {
+        batch.fill_lane(lane, input);
+    }
+    let bcfg = ExecConfig {
+        stmt_budget: u64::MAX,
+        parallel_order: order,
+    };
+    let results = CompiledProgram::compile(p).run_batched(&mut batch, &bcfg, Some(budgets));
+    for (lane, input) in inputs.iter().enumerate() {
+        let mut store = ArrayStore::from_program(p);
+        for (name, init) in input {
+            if let Some(arr) = store.get_mut(name) {
+                arr.fill(init);
+            }
+        }
+        let rcfg = ExecConfig {
+            stmt_budget: budgets[lane],
+            parallel_order: order,
+        };
+        let reference = run_with_store_reference(p, &mut store, &rcfg);
+        assert_eq!(
+            reference, results[lane],
+            "{ctx} lane {lane}: batched outcome diverges from the reference"
+        );
+        assert_stores_bit_identical(
+            &batch.lane_store(lane),
+            &store,
+            &format!("{ctx} lane {lane}"),
+        );
+    }
+    results
 }
 
-const ORDERS: [ParallelOrder; 3] = [
-    ParallelOrder::Forward,
-    ParallelOrder::Reverse,
-    ParallelOrder::EvenOdd,
-];
+/// [`assert_lanes_match_reference`] for one lane holding the program's
+/// own inits.
+fn assert_one_lane_matches_reference(p: &Program, cfg: &ExecConfig, ctx: &str) {
+    assert_lanes_match_reference(
+        p,
+        &[InputSpec::new()],
+        cfg.parallel_order,
+        &[cfg.stmt_budget],
+        ctx,
+    );
+}
 
-/// Every suite kernel, every eqcheck seed input: stores, statement
-/// counts and coverage must match the reference walker bit-for-bit.
+/// Every suite kernel, every eqcheck seed input run alone as one lane:
+/// stores, statement counts and coverage must match the reference
+/// walker bit-for-bit, and no kernel may fault.
 #[test]
 fn all_suite_kernels_match_reference_on_seed_inputs() {
     let benchmarks = all_benchmarks();
@@ -92,22 +122,42 @@ fn all_suite_kernels_match_reference_on_seed_inputs() {
     };
     for b in &benchmarks {
         let p = scaled_clone(&b.program(), 10);
-        for (k, spec) in seed_inputs(&p).iter().enumerate() {
+        for (k, input) in seed_inputs(&p).into_iter().enumerate() {
             let ctx = format!("{} input {k}", b.name);
-            let stats = assert_engines_agree(
+            let results = assert_lanes_match_reference(
                 &p,
-                |store| {
-                    for (name, init) in spec {
-                        if let Some(arr) = store.get_mut(name) {
-                            arr.fill(init);
-                        }
-                    }
-                },
-                &cfg,
+                &[input],
+                cfg.parallel_order,
+                &[cfg.stmt_budget],
                 &ctx,
-            )
-            .unwrap_or_else(|e| panic!("{ctx}: kernel faulted: {e}"));
+            );
+            let stats = results[0]
+                .as_ref()
+                .unwrap_or_else(|e| panic!("{ctx}: kernel faulted: {e}"));
             assert!(stats.stmts_executed > 0, "{ctx}: executed nothing");
+        }
+    }
+}
+
+/// The lane engine over every suite kernel: the eqcheck seed inputs run
+/// as lanes of one batch, under all three iteration orders, and every
+/// lane must be bit-identical to the single-input reference run of that
+/// input.
+#[test]
+fn batched_lanes_match_scalar_on_all_suite_kernels() {
+    let benchmarks = all_benchmarks();
+    assert!(
+        benchmarks.len() >= 130,
+        "suite shrank to {}",
+        benchmarks.len()
+    );
+    for b in &benchmarks {
+        let p = scaled_clone(&b.program(), 10);
+        let inputs = seed_inputs(&p);
+        let budgets = vec![5_000_000u64; inputs.len()];
+        for order in ParallelOrder::ALL {
+            let ctx = format!("{} order {order:?}", b.name);
+            assert_lanes_match_reference(&p, &inputs, order, &budgets, &ctx);
         }
     }
 }
@@ -125,13 +175,13 @@ fn parallelized_kernels_match_reference_under_all_orders() {
             continue;
         };
         covered += 1;
-        for order in ORDERS {
+        for order in ParallelOrder::ALL {
             let cfg = ExecConfig {
                 stmt_budget: 5_000_000,
                 parallel_order: order,
             };
             let ctx = format!("{} order {order:?}", b.name);
-            let _ = assert_engines_agree(&par, |_| {}, &cfg, &ctx);
+            assert_one_lane_matches_reference(&par, &cfg, &ctx);
         }
     }
     assert!(
@@ -140,71 +190,20 @@ fn parallelized_kernels_match_reference_under_all_orders() {
     );
 }
 
-/// Runs `p` batched over the given lanes and asserts every lane is
-/// bit-identical (outcome and store) to a scalar run of that input with
-/// that lane's budget.
-fn assert_batch_matches_scalar(
-    p: &Program,
-    specs: &[Vec<(String, InitKind)>],
-    order: ParallelOrder,
-    budgets: &[u64],
-    ctx: &str,
-) {
-    let compiled = CompiledProgram::compile(p);
-    let mut batch = BatchStore::from_program(p, specs.len());
-    for (lane, spec) in specs.iter().enumerate() {
-        for (name, init) in spec {
-            batch.fill_lane(lane, name, init);
-        }
-    }
-    let bcfg = ExecConfig {
-        stmt_budget: u64::MAX,
-        parallel_order: order,
-    };
-    let results = compiled.run_batched(&mut batch, &bcfg, Some(budgets));
-    for (lane, spec) in specs.iter().enumerate() {
-        let mut store = ArrayStore::from_program(p);
-        for (name, init) in spec {
-            if let Some(arr) = store.get_mut(name) {
-                arr.fill(init);
-            }
-        }
-        let scfg = ExecConfig {
-            stmt_budget: budgets[lane],
-            parallel_order: order,
-        };
-        let scalar = compiled.run_with_store(&mut store, &scfg);
-        assert_eq!(
-            scalar, results[lane],
-            "{ctx} lane {lane}: batched outcome diverges from scalar"
-        );
-        assert_stores_bit_identical(
-            &batch.lane_store(lane),
-            &store,
-            &format!("{ctx} lane {lane}"),
-        );
-    }
-}
-
-/// The batched engine over every suite kernel: the eqcheck seed inputs
-/// run as lanes, under all three iteration orders, and every lane must
-/// be bit-identical to the scalar run of that input.
+/// Coverage-guided selection keeps exactly the seed inputs on every
+/// suite kernel: control flow does not depend on array values, so no
+/// mutant can cover an arm the first seed left uncovered.
 #[test]
-fn batched_lanes_match_scalar_on_all_suite_kernels() {
-    let benchmarks = all_benchmarks();
-    assert!(
-        benchmarks.len() >= 130,
-        "suite shrank to {}",
-        benchmarks.len()
-    );
-    for b in &benchmarks {
-        let p = scaled_clone(&b.program(), 10);
-        let specs = seed_inputs(&p);
-        let budgets = vec![5_000_000u64; specs.len()];
-        for order in ORDERS {
-            let ctx = format!("{} order {order:?}", b.name);
-            assert_batch_matches_scalar(&p, &specs, order, &budgets, &ctx);
-        }
+fn suite_selection_keeps_exactly_the_seed_inputs() {
+    let cfg = EqCheckConfig::default();
+    for b in &all_benchmarks() {
+        let p = b.program();
+        assert_eq!(
+            build_test_suite(&p, &cfg).inputs,
+            seed_inputs(&p),
+            "{}: the suite is not its seed inputs",
+            b.name
+        );
     }
 }
 
@@ -275,7 +274,7 @@ fn ground_truth_failure_is_a_runtime_error_not_pass() {
 /// and swap an array with itself.
 #[test]
 fn mutations_never_return_the_input_unchanged() {
-    let spec: Vec<(String, InitKind)> = vec![
+    let spec: InputSpec = vec![
         ("A".into(), InitKind::IndexPattern { a: 7, b: 1, m: 97 }),
         ("B".into(), InitKind::IndexPattern { a: 3, b: 2, m: 51 }),
     ];
@@ -291,7 +290,7 @@ proptest! {
 
     /// Synthesized programs (the dataset generator exercises guards,
     /// strides, reductions, local scalars and multi-dimensional
-    /// subscripts) run bit-identically on both engines.
+    /// subscripts) run bit-identically as one lane and on the reference.
     #[test]
     fn synthesized_programs_match_reference(seed in 0u64..10_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -302,8 +301,7 @@ proptest! {
                 stmt_budget: 2_000_000,
                 ..Default::default()
             };
-            let ctx = format!("seed {seed}");
-            let _ = assert_engines_agree(&small, |_| {}, &cfg, &ctx);
+            assert_one_lane_matches_reference(&small, &cfg, &format!("seed {seed}"));
         }
     }
 
@@ -320,14 +318,14 @@ proptest! {
                 ..Default::default()
             };
             let ctx = format!("seed {seed} budget {budget}");
-            let _ = assert_engines_agree(&small, |_| {}, &cfg, &ctx);
+            assert_one_lane_matches_reference(&small, &cfg, &ctx);
         }
     }
 
     /// Synthesized programs run batched with *heterogeneous* per-lane
     /// budgets: some lanes exhaust their budget (or hit a fault) and
     /// drop out mid-batch while others run to completion; every lane
-    /// must still match its scalar run bit-for-bit, frozen partial
+    /// must still match its reference run bit-for-bit, frozen partial
     /// stores included.
     #[test]
     fn batched_lane_dropout_matches_scalar(seed in 0u64..10_000, budget in 1u64..400) {
@@ -335,18 +333,18 @@ proptest! {
         let params = LoopParams::sample(&mut rng);
         if let Some(p) = generate_example(&params, 0, &mut rng) {
             let small = scaled_clone(&p, 8);
-            let specs = seed_inputs(&small);
+            let inputs = seed_inputs(&small);
             // One tiny budget (dies almost immediately), one mid-range,
             // one that tracks the sampled value, one effectively
             // unlimited — exercising dropout at different batch depths.
             let budgets: Vec<u64> = [1, budget, budget * 3, u64::MAX]
                 .into_iter()
                 .cycle()
-                .take(specs.len())
+                .take(inputs.len())
                 .collect();
-            for order in ORDERS {
+            for order in ParallelOrder::ALL {
                 let ctx = format!("seed {seed} budget {budget} order {order:?}");
-                assert_batch_matches_scalar(&small, &specs, order, &budgets, &ctx);
+                assert_lanes_match_reference(&small, &inputs, order, &budgets, &ctx);
             }
         }
     }
