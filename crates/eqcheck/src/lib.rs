@@ -14,7 +14,8 @@
 //!
 //! The production path is *batched*: all suite inputs run as lanes of
 //! one [`BatchStore`] sweep per iteration order, and the ground truth is
-//! executed once (and cached by [`PreparedTarget`] across candidates).
+//! executed once per sampling cap (and cached by [`PreparedTarget`]
+//! across candidates).
 //! Its one reference oracle is [`differential_test_reference`]: the
 //! per-input, early-exit traversal on the tree-walking interpreter,
 //! pinned bit-for-bit against the batched verdicts.
@@ -42,7 +43,7 @@ use looprag_transform::scaled_clone;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Verdict of differential testing, matching the paper's error classes.
 #[derive(Debug, Clone, PartialEq)]
@@ -346,6 +347,15 @@ fn annotate_skips(verdict: TestVerdict, skipped: usize) -> TestVerdict {
     }
 }
 
+/// Counts one ground-truth sweep ([`ExpectedLanes::prepare`]) in the
+/// global metrics registry as `eqcheck.ground_truth_runs`. Observational
+/// only, like the verdict counters.
+fn count_ground_truth_run() {
+    static C: OnceLock<looprag_trace::Counter> = OnceLock::new();
+    C.get_or_init(|| looprag_trace::metrics().counter("eqcheck.ground_truth_runs"))
+        .inc();
+}
+
 /// Counts one differential-test verdict in the global metrics registry,
 /// keyed per verdict kind. Observational only — never consulted by any
 /// verdict or fingerprint path.
@@ -391,9 +401,8 @@ pub fn differential_test(
 ) -> TestVerdict {
     let cap = adaptive_sampling_cap(candidate, cfg.param_cap, 400_000.0)
         .max(adaptive_sampling_cap(original, cfg.param_cap, 400_000.0));
-    let orig = scaled_clone(original, cap);
-    let expected = ExpectedLanes::prepare(&orig, suite, cfg);
-    let verdict = differential_test_batched(&orig, &expected, candidate, cap, suite, cfg);
+    let truth = GroundTruth::new(original, cap, suite, cfg);
+    let verdict = differential_test_batched(&truth, candidate, suite, cfg);
     count_verdict(&verdict);
     verdict
 }
@@ -496,7 +505,7 @@ fn reference_verdict(
 /// store held as one lane of a [`BatchStore`], plus the per-input output
 /// checksums. Candidates compare against these cached lanes instead of
 /// re-running the original per input per candidate.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ExpectedLanes {
     /// The original's final stores, one lane per suite input.
     stores: BatchStore,
@@ -510,6 +519,7 @@ impl ExpectedLanes {
     /// Runs the scaled original over all suite inputs as one batched
     /// Forward sweep and caches the per-lane stores and checksums.
     fn prepare(orig: &Program, suite: &TestSuite, cfg: &EqCheckConfig) -> Self {
+        count_ground_truth_run();
         let n = suite.inputs.len();
         let mut stores = BatchStore::from_program(orig, n);
         for (lane, spec) in suite.inputs.iter().enumerate() {
@@ -533,8 +543,29 @@ impl ExpectedLanes {
     }
 }
 
-/// The batched per-candidate core: `orig` is already scaled to `cap` and
-/// its ground truth cached in `expected`; only the candidate is scaled
+/// The original scaled to one sampling cap, with its ground truth over
+/// the whole suite.
+#[derive(Debug)]
+struct GroundTruth {
+    cap: i64,
+    scaled: Program,
+    expected: ExpectedLanes,
+}
+
+impl GroundTruth {
+    fn new(original: &Program, cap: i64, suite: &TestSuite, cfg: &EqCheckConfig) -> Self {
+        let scaled = scaled_clone(original, cap);
+        let expected = ExpectedLanes::prepare(&scaled, suite, cfg);
+        GroundTruth {
+            cap,
+            scaled,
+            expected,
+        }
+    }
+}
+
+/// The batched per-candidate core: the original's ground truth at the
+/// test's sampling cap is `truth`; only the candidate is scaled
 /// and compiled here. Each iteration order runs as one batched sweep
 /// over the (ground-truth-passing) suite inputs.
 ///
@@ -545,14 +576,13 @@ impl ExpectedLanes {
 /// early exit — once input 0 fails nothing else runs), and the
 /// surviving minimum is the oracle's verdict by construction.
 fn differential_test_batched(
-    orig: &Program,
-    expected: &ExpectedLanes,
+    truth: &GroundTruth,
     candidate: &Program,
-    cap: i64,
     suite: &TestSuite,
     cfg: &EqCheckConfig,
 ) -> TestVerdict {
-    let cand = scaled_clone(candidate, cap);
+    let (orig, expected) = (&truth.scaled, &truth.expected);
+    let cand = scaled_clone(candidate, truth.cap);
     if orig.outputs != cand.outputs {
         return TestVerdict::IncorrectAnswer {
             detail: "output arrays differ".into(),
@@ -666,42 +696,50 @@ fn lane_mismatch(
 }
 
 /// A kernel prepared for repeated differential testing: the coverage
-/// suite plus the original program scaled, compiled **and executed over
-/// the whole suite** once — its per-input final stores and checksums are
-/// cached as [`BatchStore`] lanes and reused across every candidate of a
-/// pipeline run, instead of re-running the original per input per
+/// suite plus a memo of the original's ground truth per sampling cap.
+/// Each entry is the original scaled to that cap and executed over the
+/// whole suite once; its per-input final stores and checksums are
+/// [`BatchStore`] lanes that every candidate tested at that cap compares
+/// against, instead of re-running the original per input per
 /// [`differential_test`] call.
 ///
-/// The cached lanes serve a candidate whose adaptive sampling cap does
-/// not exceed the original's. A candidate that widens the cap (tiled
-/// candidates usually do) falls back to rescaling and re-running the
-/// original for that one test, preserving verdict equality with the
-/// one-shot entry points. That fallback is not rare: on the cost-bound
-/// benchmark workload 89 of 153 difftests take it. Memoizing the ground
-/// truth per cap is an open ROADMAP item.
-#[derive(Debug, Clone)]
+/// A candidate is tested at the wider of its own adaptive sampling cap
+/// and the original's, so tiled candidates usually widen it. The
+/// original's cap is filled at [`PreparedTarget::prepare`]; each wider
+/// cap is computed the first time a candidate needs it and kept for the
+/// life of the target (in the pipeline, one `optimize` call). The
+/// expected stores are a pure function of the original, the cap, the
+/// suite and the preparation config, so a per-cap entry is computed
+/// exactly once at any pool size — concurrent candidates at the same new
+/// cap wait for one sweep — and verdicts equal the one-shot
+/// [`differential_test`] whichever worker fills it.
+#[derive(Debug)]
 pub struct PreparedTarget {
     original: Program,
     suite: TestSuite,
+    /// The config the target was prepared with; every ground truth runs
+    /// under its statement budget.
+    cfg: EqCheckConfig,
+    /// The original's own sampling cap.
     cap: i64,
-    scaled: Program,
-    expected: ExpectedLanes,
+    /// Sampling cap → ground truth at that cap.
+    truths: Mutex<Vec<(i64, Arc<OnceLock<GroundTruth>>)>>,
 }
 
 impl PreparedTarget {
-    /// Builds the suite, compiles the scaled original, and runs the
-    /// ground truth once over all suite inputs (one batched sweep).
+    /// Builds the suite and the ground truth at the original's sampling
+    /// cap: the scaled original run once over all suite inputs (one
+    /// batched sweep).
     pub fn prepare(original: &Program, cfg: &EqCheckConfig) -> Self {
         let suite = build_test_suite(original, cfg);
         let cap = adaptive_sampling_cap(original, cfg.param_cap, 400_000.0);
-        let scaled_orig = scaled_clone(original, cap);
-        let expected = ExpectedLanes::prepare(&scaled_orig, &suite, cfg);
+        let truth = OnceLock::from(GroundTruth::new(original, cap, &suite, cfg));
         PreparedTarget {
             original: original.clone(),
             suite,
+            cfg: cfg.clone(),
             cap,
-            scaled: scaled_orig,
-            expected,
+            truths: Mutex::new(vec![(cap, Arc::new(truth))]),
         }
     }
 
@@ -715,27 +753,29 @@ impl PreparedTarget {
         &self.suite
     }
 
-    /// [`differential_test`] against the prepared original. Verdicts are
-    /// identical to the one-shot function; the cached ground-truth lanes
-    /// are reused whenever the candidate's sampling cap allows it.
+    /// The memo entry for `cap`, inserted empty on first use.
+    fn truth_cell(&self, cap: i64) -> Arc<OnceLock<GroundTruth>> {
+        let mut truths = self.truths.lock().expect("ground-truth memo lock");
+        if let Some((_, cell)) = truths.iter().find(|(c, _)| *c == cap) {
+            return Arc::clone(cell);
+        }
+        let cell = Arc::new(OnceLock::new());
+        truths.push((cap, Arc::clone(&cell)));
+        cell
+    }
+
+    /// [`differential_test`] against the prepared original, with `cfg`
+    /// the config the target was prepared with. Verdicts are identical
+    /// to the one-shot function; the ground truth at the candidate's cap
+    /// comes from the memo.
     pub fn differential_test(&self, candidate: &Program, cfg: &EqCheckConfig) -> TestVerdict {
         let cap = adaptive_sampling_cap(candidate, cfg.param_cap, 400_000.0).max(self.cap);
-        let verdict = if cap == self.cap {
-            differential_test_batched(
-                &self.scaled,
-                &self.expected,
-                candidate,
-                cap,
-                &self.suite,
-                cfg,
-            )
-        } else {
-            // Cold path: the candidate widened the cap, so the original
-            // must be rescaled and its ground truth recomputed to match.
-            let orig = scaled_clone(&self.original, cap);
-            let expected = ExpectedLanes::prepare(&orig, &self.suite, cfg);
-            differential_test_batched(&orig, &expected, candidate, cap, &self.suite, cfg)
-        };
+        // Computed outside the memo lock: other caps proceed in
+        // parallel, and the cell runs its sweep exactly once.
+        let cell = self.truth_cell(cap);
+        let truth =
+            cell.get_or_init(|| GroundTruth::new(&self.original, cap, &self.suite, &self.cfg));
+        let verdict = differential_test_batched(truth, candidate, &self.suite, cfg);
         count_verdict(&verdict);
         verdict
     }
@@ -890,8 +930,8 @@ mod tests {
         let cfg = EqCheckConfig::default();
         let prepared = PreparedTarget::prepare(&p, &cfg);
         let legal = parallelize(&tile_band(&p, &[0], 3, 8).unwrap(), &[0]).unwrap();
-        // A tile size far above the original's scaled cap forces the
-        // cold rescale path.
+        // A tile size far above the original's scaled cap widens it, so
+        // the memo computes a second ground truth.
         let widened = tile_band(&p, &[0], 3, 40).unwrap();
         let wrong = compile(
             "param N = 64;\narray C[N][N];\narray A[N][N];\narray B[N][N];\nout C;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) for (j = 0; j <= N - 1; j++) C[i][j] = A[i][j] + B[i][j];\n#pragma endscop\n",

@@ -4,24 +4,46 @@
 //! Four layers make estimates cheap without changing a single bit of
 //! any result:
 //!
-//! 1. **A flat simulator and integer-exact leaf loops.** The walker
-//!    simulates on the engine-private `flat_cache` (one `Vec<u64>` of
-//!    `sets × assoc` tags per level, most recently used first, shift
-//!    and mask indexing where the geometry allows), not on the
-//!    reference [`Hierarchy`](crate::Hierarchy), so the pin against the
-//!    reference also cross-checks the two simulators. Statement costs
-//!    are built once from integer hit counts, and a loop whose body is
-//!    only statements runs one tight loop over per-access index
-//!    cursors with `u64` accumulators, converted to `f64` at the end.
+//! 1. **A flat simulator, integer-exact leaf loops and line runs.** The
+//!    walker simulates on the engine-private `flat_cache` (one
+//!    `Vec<u64>` of `sets × assoc` tags per level, most recently used
+//!    first, shift and mask indexing where the geometry allows), not on
+//!    the reference [`Hierarchy`](crate::Hierarchy), so the pin against
+//!    the reference also cross-checks the two simulators. Statement
+//!    costs are built once from integer hit counts.
+//!
+//!    *Lowered leaf shapes.* Lowering stores, for each loop whose body
+//!    is only statements, its statement count, ALU sum and flattened
+//!    accesses with their coefficient on the loop's own iterator
+//!    (`LeafShape`). One execution of such a loop evaluates only its
+//!    trip count, the exactness bound below and each access's starting
+//!    index, then runs one tight loop over per-access index cursors
+//!    with `u64` accumulators, converted to `f64` at the end.
 //!    Exactness: below a loop's vector or parallel division — the
 //!    first operation that can produce a fraction — every quantity the
 //!    reference adds is an integer-valued `f64` (header charges, ALU
 //!    counts, latencies). While every partial sum stays within 2^53,
 //!    each of those additions is exact, so the result is the
 //!    mathematical integer total whatever the order or grouping of
-//!    the additions. `leaf_plan` bounds every partial sum of a leaf
-//!    loop before taking the integer path, and loops whose bound could
-//!    reach 2^53 keep the per-statement additions.
+//!    the additions. The shape bounds every partial sum of the loop by
+//!    its trip count, and loops that could reach 2^53 keep the
+//!    per-statement additions.
+//!
+//!    *Line runs.* After one fully simulated iteration of a leaf loop,
+//!    the walker skips the next `r` iterations in closed form when
+//!    every cursor stays on its current L1 line for all `r` of them
+//!    (from its byte offset in the line, its stride and its clamp
+//!    range) and no L1 set holds more distinct lines from that
+//!    iteration than its associativity. The second condition means
+//!    every line the iteration touched is resident in L1 at its end:
+//!    after a line's last touch, at most `assoc - 1` other lines of its
+//!    set are touched. Each skipped iteration then touches the same
+//!    lines in the same order, so each of its `k` accesses is an L1 hit,
+//!    and hits in the iteration's own order leave each set's LRU order
+//!    as the iteration left it; no fill changes, and an L1 hit never
+//!    consults L2. So the skip adds `r·k` to the L1 hits, advances the
+//!    cursors `r` steps, and leaves the tags, LRU order and fill of both
+//!    levels exactly as the naive walk would.
 //! 2. **Steady-state memoization** inside the cache simulator. At the
 //!    iteration boundaries of *body-invariant* loops (loops whose body
 //!    never references the loop's own iterator — outer time loops of
@@ -55,10 +77,13 @@
 //! Fresh estimates report their work units to the metrics registry:
 //! `cost.instances_simulated` and `cost.accesses_simulated` count the
 //! statement instances and accesses actually simulated, so replayed
-//! iterations and cache hits add nothing.
+//! iterations and cache hits add nothing, and accesses skipped in line
+//! runs add nothing to the access count.
 
 use crate::flat_cache::{FlatHierarchy, FlatState};
-use crate::model::{lower_for_cost, CostError, CostReport, CostVec, LAccess, LNode, MachineConfig};
+use crate::model::{
+    lower_for_cost, CostError, CostReport, CostVec, LAccess, LNode, LeafShape, MachineConfig,
+};
 use looprag_dependence::{analyze_for, DependenceSet, Purpose};
 use looprag_ir::{has_parallel_loop, print_program, Node, Program};
 use std::borrow::Cow;
@@ -127,12 +152,15 @@ struct MemoModel<'a> {
     exact_accesses: u64,
     steady_loops: u64,
     iters_replayed: u64,
-    /// Statement instances and accesses advanced by replay rather than
-    /// simulated.
+    /// Statement instances advanced by replay rather than simulated.
     instances_replayed: u64,
-    accesses_replayed: u64,
+    /// Accesses advanced by replay or skipped as line runs rather than
+    /// simulated.
+    accesses_skipped: u64,
     /// Scratch for [`MemoModel::run_leaf`], reused across leaf loops.
     cursors: Vec<Cursor>,
+    /// Scratch for the line-run associativity check.
+    lines: Vec<(usize, u64)>,
     /// Per loop node (keyed by its address in the lowered tree, which
     /// is stable for the walk's lifetime): executions that completed
     /// without a recurrence. At [`STEADY_FAILURE_CAP`] the node runs
@@ -163,8 +191,9 @@ impl<'a> MemoModel<'a> {
             steady_loops: 0,
             iters_replayed: 0,
             instances_replayed: 0,
-            accesses_replayed: 0,
+            accesses_skipped: 0,
             cursors: Vec::new(),
+            lines: Vec::new(),
             steady_failures: HashMap::new(),
         }
     }
@@ -254,6 +283,7 @@ impl<'a> MemoModel<'a> {
                 vec_factor,
                 header_ovh,
                 body_invariant,
+                leaf,
                 body,
             } => {
                 let lbv = lb.eval(&self.iters);
@@ -284,8 +314,11 @@ impl<'a> MemoModel<'a> {
                         < STEADY_FAILURE_CAP
                 {
                     self.run_loop_steady(node_key, range, trips, header, body)
-                } else if let Some(plan) = leaf_plan(self.cfg, range, *header_ovh, body) {
-                    self.run_leaf(range, body, plan)
+                } else if let Some((shape, trips)) = leaf
+                    .as_deref()
+                    .and_then(|shape| Some((shape, leaf_trips(range, shape)?)))
+                {
+                    self.run_leaf(range, *header_ovh, shape, trips)
                 } else {
                     self.run_loop_naive(range, header, body)
                 };
@@ -327,8 +360,9 @@ impl<'a> MemoModel<'a> {
         Ok(body_cost)
     }
 
-    /// The integer-exact path for a loop whose body is only statements
-    /// (see [`leaf_plan`] for when it applies and why it is exact).
+    /// The integer-exact path for one execution of a loop whose body is
+    /// only statements, `trips` iterations long (see [`leaf_trips`] for
+    /// when it applies and the module docs for why it is exact).
     ///
     /// The naive walk sums the iterations' header charges and the
     /// statements' integer-valued cost vectors in `f64`. With every
@@ -339,60 +373,93 @@ impl<'a> MemoModel<'a> {
     /// point, on the converted totals, exactly as in the reference.
     ///
     /// Only this loop's iterator changes inside it, so each access's
-    /// linear index advances by a constant per iteration; a cursor per
-    /// access replaces re-evaluating its linear form. The cursors use
-    /// wrapping arithmetic — arithmetic modulo 2^64 — so they agree with
-    /// the linear form's evaluation whenever that does not overflow, and
-    /// with its release-build wraparound when it does.
+    /// linear index advances by a constant per iteration: one
+    /// [`Cursor`] per access of the lowered [`LeafShape`] replaces
+    /// re-evaluating its linear form.
+    ///
+    /// After each simulated iteration the walk skips, in closed form,
+    /// the next `r` iterations when every cursor stays on its current
+    /// L1 line for all of them ([`Cursor::run`]) and no L1 set holds
+    /// more distinct lines from that iteration than its associativity.
+    /// Each skipped iteration is then one L1 hit per access that leaves
+    /// the simulator's state unchanged (module docs, layer 1).
     fn run_leaf(
         &mut self,
         (slot, lbv, _, step): LoopRange,
-        body: &[LNode],
-        plan: LeafPlan,
+        header_ovh: u64,
+        shape: &LeafShape,
+        trips: u64,
     ) -> Result<CostVec, CostError> {
         // Every iteration runs every statement once, so the naive walk
         // exhausts the budget inside this loop iff the loop's instance
         // total exceeds what is left. The error discards every number,
         // so raising it before simulating anything is faithful.
-        let total = plan.trips as u128 * plan.stmts as u128;
+        let total = trips as u128 * shape.stmts as u128;
         if self.instances as u128 + total > self.cfg.instance_budget as u128 {
             return Err(CostError::InstanceBudget);
         }
         self.iters[slot] = lbv;
+        let line_bytes = self.caches.l1_line_bytes();
         let mut cursors = std::mem::take(&mut self.cursors);
         cursors.clear();
-        for n in body {
-            if let LNode::Stmt { accesses, .. } = n {
-                cursors.extend(
-                    accesses
-                        .iter()
-                        .map(|a| Cursor::new(a, &self.iters, slot, step)),
-                );
+        cursors.extend(shape.accesses.iter().map(|(a, coeff)| {
+            let delta = coeff.wrapping_mul(step);
+            Cursor {
+                flat: a.linear.eval_wrapping(&self.iters),
+                delta,
+                stride_bytes: delta.unsigned_abs().saturating_mul(8),
+                base: a.base,
+                max_flat: a.max_flat,
+                addr: 0,
             }
-        }
+        }));
         let (l1, l2, mem) = (
             self.caches.l1_hits,
             self.caches.l2_hits,
             self.caches.mem_accesses,
         );
-        for _ in 0..plan.trips {
+        let k = cursors.len() as u64;
+        let mut t = 0;
+        while t < trips {
+            let mut run = u64::MAX;
             for c in &mut cursors {
                 let flat = c.flat.clamp(0, c.max_flat);
-                self.caches.access(c.base + flat as u64 * 8);
+                c.addr = c.base + flat as u64 * 8;
+                self.caches.access(c.addr);
+                if run > 0 {
+                    let offset = self.caches.l1_line_offset(c.addr);
+                    run = run.min(c.run(flat, offset, line_bytes));
+                }
                 c.flat = c.flat.wrapping_add(c.delta);
+            }
+            t += 1;
+            let r = run.min(trips - t);
+            if r > 0
+                && self
+                    .caches
+                    .l1_holds_all(cursors.iter().map(|c| c.addr), &mut self.lines)
+            {
+                // Hits on resident lines in the order that left them
+                // where they are: no tag, LRU order or fill changes.
+                self.caches.l1_hits += r * k;
+                self.accesses_skipped += r * k;
+                for c in &mut cursors {
+                    c.flat = c.flat.wrapping_add(c.delta.wrapping_mul(r as i64));
+                }
+                t += r;
             }
         }
         self.cursors = cursors;
         // Leave the iterator at its last value, as the naive loop does.
-        self.iters[slot] = lbv + (plan.trips as i64 - 1) * step;
+        self.iters[slot] = lbv + (trips as i64 - 1) * step;
         self.instances += total as u64;
         let cfg = self.cfg;
         Ok(CostVec {
-            alu: (plan.trips * plan.alu) as f64,
+            alu: (trips * shape.alu) as f64,
             l1: ((self.caches.l1_hits - l1) * cfg.lat_l1) as f64,
             l2: ((self.caches.l2_hits - l2) * cfg.lat_l2) as f64,
             mem: ((self.caches.mem_accesses - mem) * cfg.lat_mem) as f64,
-            ovh: (plan.trips * plan.header_ovh) as f64,
+            ovh: (trips * header_ovh) as f64,
         })
     }
 
@@ -520,7 +587,7 @@ impl<'a> MemoModel<'a> {
         c.l2_hits = advance(c.l2_hits, s_u.l2_hits, s_ur.l2_hits) as u64;
         c.mem_accesses = advance(c.mem_accesses, s_u.mem_accesses, s_ur.mem_accesses) as u64;
         c.restore_tags(s_ur);
-        self.accesses_replayed += self.caches.accesses() - accesses;
+        self.accesses_skipped += self.caches.accesses() - accesses;
 
         // Replay the f64 additions in the exact naive sequence. The
         // iteration that ran from boundary `j` contributed `deltas[j]`;
@@ -553,93 +620,70 @@ struct Cycle<'b> {
     deltas: &'b [CostVec],
 }
 
-/// One leaf-loop execution's shape: its trip count and per-iteration
-/// totals.
-#[derive(Clone, Copy)]
-struct LeafPlan {
-    trips: u64,
-    /// Statements per iteration.
-    stmts: u64,
-    /// ALU cycles per iteration.
-    alu: u64,
-    /// Header cycles per iteration.
-    header_ovh: u64,
-}
-
-/// An access's linear index inside a leaf loop, advanced per iteration.
+/// An access's linear index inside one execution of a leaf loop,
+/// advanced per iteration by `delta`, the access's own-slot coefficient
+/// times the loop's step. The cursor uses wrapping arithmetic —
+/// arithmetic modulo 2^64 — so it agrees with the linear form's
+/// evaluation whenever that does not overflow, and with its
+/// release-build wraparound when it does.
 struct Cursor {
+    /// The unclamped linear index of the next access.
     flat: i64,
     delta: i64,
+    /// `|delta| × 8`, saturating: the bytes the access moves per
+    /// iteration while unclamped.
+    stride_bytes: u64,
     base: u64,
     max_flat: i64,
+    /// The byte address of the last simulated access.
+    addr: u64,
 }
 
 impl Cursor {
-    /// The cursor for `a` at the current iteration vector, advancing by
-    /// `step` on iterator `slot`.
-    fn new(a: &LAccess, iters: &[i64], slot: usize, step: i64) -> Cursor {
-        let (mut flat, mut delta) = (a.linear.constant, 0i64);
-        for &(s, coeff) in &a.linear.terms {
-            flat = flat.wrapping_add(coeff.wrapping_mul(iters[s]));
-            if s == slot {
-                delta = delta.wrapping_add(coeff.wrapping_mul(step));
-            }
+    /// How many iterations after the one just simulated, whose clamped
+    /// index was `flat` at byte `offset` of its L1 line, keep this
+    /// cursor on that line: the room left in the line in the direction
+    /// of travel, in strides, and no further than its clamp range
+    /// allows. A stride-0 cursor never leaves its line; a cursor that is
+    /// currently clamped, or moves a line or more per iteration, gives 0.
+    /// Called before the cursor advances.
+    #[inline]
+    fn run(&self, flat: i64, offset: u64, line_bytes: u64) -> u64 {
+        if self.delta == 0 {
+            return u64::MAX;
         }
-        Cursor {
-            flat,
-            delta,
-            base: a.base,
-            max_flat: a.max_flat,
+        if flat != self.flat {
+            return 0;
+        }
+        let (room_bytes, room_elems) = if self.delta > 0 {
+            (line_bytes - 1 - offset, (self.max_flat - flat) as u64)
+        } else {
+            (offset, flat as u64)
+        };
+        let step = self.delta.unsigned_abs();
+        // `room_bytes < line_bytes`, so a stride of a line or more gives 0.
+        let r = room_bytes / self.stride_bytes;
+        // `r × step < line_bytes / 8`, so the product cannot overflow.
+        if r * step <= room_elems {
+            r
+        } else {
+            room_elems / step
         }
     }
 }
 
-/// Plans the integer-exact path for one execution of a loop whose body
-/// is only statements (`None` for any other loop).
+/// The trip count of one execution of a leaf loop, when the
+/// integer-exact path may take it (`None` sends it to the naive walk).
 ///
-/// Below the loop's vector or parallel division — the first operation
-/// that can produce a fraction — every quantity the naive walk adds is
-/// an integer-valued `f64`: header charges, statement ALU counts and
-/// latencies. The walk's partial sums per component are bounded by the
-/// component's loop total, and every loop total is at most
-/// `trips × (header + Σ over statements of (alu + accesses × max
-/// latency))`. When that bound is within [`F64_EXACT`], every addition
-/// is exact, so integer accumulation yields the identical bits in any
-/// order. The bound is computed, not configured: where it could reach
-/// 2^53 — absurd latencies, trip counts or ALU weights — the loop takes
-/// the per-statement path instead.
-fn leaf_plan(
-    cfg: &MachineConfig,
-    (_, lbv, ubv, step): LoopRange,
-    header_ovh: u64,
-    body: &[LNode],
-) -> Option<LeafPlan> {
-    // The trip count, computed without overflow, and a last increment
-    // that cannot overflow either — otherwise the naive `while` loop's
-    // iteration count is not this closed form.
-    if step <= 0 || body.is_empty() || ubv.checked_add(step).is_none() {
-        return None;
-    }
+/// The trip count must be computed without overflow and the last
+/// increment must not overflow either — otherwise the naive `while`
+/// loop's iteration count is not this closed form. And the trips must
+/// be within the shape's [`LeafShape::max_trips`], so every partial sum
+/// of the loop stays within [`F64_EXACT`].
+fn leaf_trips((_, lbv, ubv, step): LoopRange, shape: &LeafShape) -> Option<u64> {
+    ubv.checked_add(step)?;
     let trips = u64::try_from(ubv.checked_sub(lbv)? / step).ok()? + 1;
-    let max_lat = u128::from(cfg.lat_l1.max(cfg.lat_l2).max(cfg.lat_mem));
-    let mut plan = LeafPlan {
-        trips,
-        stmts: 0,
-        alu: 0,
-        header_ovh,
-    };
-    let mut per_iter = u128::from(header_ovh);
-    for n in body {
-        let LNode::Stmt { alu, accesses } = n else {
-            return None;
-        };
-        plan.stmts += 1;
-        plan.alu = plan.alu.checked_add(*alu)?;
-        per_iter = per_iter
-            .saturating_add(u128::from(*alu))
-            .saturating_add((accesses.len() as u128).saturating_mul(max_lat));
-    }
-    (u128::from(trips).saturating_mul(per_iter) <= u128::from(F64_EXACT)).then_some(plan)
+    (trips <= shape.max_trips).then_some(trips)
 }
 
 // ---------------------------------------------------------------------
@@ -666,8 +710,9 @@ pub struct CostEngineStats {
     /// Statement instances the walker simulated (replayed ones
     /// excluded).
     pub instances_simulated: u64,
-    /// Array accesses the walker fed through the cache simulator
-    /// (replayed ones excluded).
+    /// Array accesses the walker fed through the cache simulator.
+    /// Accesses advanced by steady-state replay or skipped in a leaf
+    /// loop's line runs are excluded, though the reports count them.
     pub accesses_simulated: u64,
 }
 
@@ -854,7 +899,7 @@ fn compute_fresh(
     let mut model = MemoModel::new(cfg);
     let walked = model.visit_nodes(&prepared.lowered);
     let instances = model.instances - model.instances_replayed;
-    let accesses = model.caches.accesses() - model.accesses_replayed;
+    let accesses = model.caches.accesses() - model.accesses_skipped;
     {
         let mut inner = engine.inner.lock().expect("cost engine lock");
         let stats = &mut inner.stats;

@@ -46,11 +46,10 @@ impl FlatLevel {
         }
     }
 
-    /// Accesses the byte address; returns `true` on hit. Misses insert
-    /// the line, evicting the least recently used way of a full set.
+    /// The set index and tag of the line holding byte `addr`.
     #[inline]
-    pub(crate) fn access(&mut self, addr: u64) -> bool {
-        let (set, tag) = match self.shifts {
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        match self.shifts {
             Some((line_shift, set_bits)) => {
                 let line = addr >> line_shift;
                 ((line & (self.n_sets - 1)) as usize, line >> set_bits)
@@ -59,7 +58,23 @@ impl FlatLevel {
                 let line = addr / self.line_bytes;
                 ((line % self.n_sets) as usize, line / self.n_sets)
             }
-        };
+        }
+    }
+
+    /// The offset of byte `addr` within its line.
+    #[inline]
+    fn line_offset(&self, addr: u64) -> u64 {
+        match self.shifts {
+            Some(_) => addr & (self.line_bytes - 1),
+            None => addr % self.line_bytes,
+        }
+    }
+
+    /// Accesses the byte address; returns `true` on hit. Misses insert
+    /// the line, evicting the least recently used way of a full set.
+    #[inline]
+    pub(crate) fn access(&mut self, addr: u64) -> bool {
+        let (set, tag) = self.locate(addr);
         let fill = &mut self.fill[set];
         match self.assoc {
             4 => lookup::<4>(&mut self.tags, set, fill, tag),
@@ -196,6 +211,44 @@ impl FlatHierarchy {
             self.mem_accesses += 1;
             ServiceLevel::Memory
         }
+    }
+
+    /// The L1 line size in bytes.
+    pub(crate) fn l1_line_bytes(&self) -> u64 {
+        self.l1.line_bytes
+    }
+
+    /// The offset of byte `addr` within its L1 line.
+    #[inline]
+    pub(crate) fn l1_line_offset(&self, addr: u64) -> u64 {
+        self.l1.line_offset(addr)
+    }
+
+    /// True when no L1 set receives more distinct lines from `addrs`
+    /// than its associativity. An access sequence with that property
+    /// leaves every line it touched resident in L1, whatever the state
+    /// it started from. `lines` is scratch space.
+    pub(crate) fn l1_holds_all(
+        &self,
+        addrs: impl ExactSizeIterator<Item = u64>,
+        lines: &mut Vec<(usize, u64)>,
+    ) -> bool {
+        let assoc = self.l1.assoc;
+        if addrs.len() <= assoc {
+            return true;
+        }
+        lines.clear();
+        for a in addrs {
+            let line = self.l1.locate(a);
+            if !lines.contains(&line) {
+                lines.push(line);
+            }
+        }
+        // A handful of distinct lines: quadratic counting beats sorting.
+        lines.len() <= assoc
+            || lines
+                .iter()
+                .all(|(set, _)| lines.iter().filter(|(s, _)| s == set).count() <= assoc)
     }
 
     /// Accesses served so far, at every level.

@@ -7,7 +7,7 @@
 //! [`estimate_cost`] results.
 //!
 //! Production estimates run through the memoizing [`CostEngine`] (a
-//! flat cache simulator with integer-exact leaf loops, steady-state
+//! flat cache simulator with integer-exact leaf loops and line runs, steady-state
 //! memoization, the one dependence cache, cross-stage cost caching),
 //! bit-for-bit pinned to the naive [`estimate_cost_reference`] walker,
 //! which keeps the reference [`Hierarchy`] simulator.

@@ -317,6 +317,25 @@ impl LinForm {
         }
         acc
     }
+
+    /// [`LinForm::eval`] in arithmetic modulo 2^64: equal to it whenever
+    /// it does not overflow, and to its release-build wraparound when it
+    /// does.
+    #[inline]
+    pub(crate) fn eval_wrapping(&self, iters: &[i64]) -> i64 {
+        self.terms.iter().fold(self.constant, |acc, (slot, coeff)| {
+            acc.wrapping_add(coeff.wrapping_mul(iters[*slot]))
+        })
+    }
+
+    /// The coefficient of iterator `slot` (0 when the form does not
+    /// reference it). Subscript forms hold one term per slot.
+    fn coeff(&self, slot: usize) -> i64 {
+        self.terms
+            .iter()
+            .find(|(s, _)| *s == slot)
+            .map_or(0, |(_, c)| *c)
+    }
 }
 
 /// A lowered loop bound.
@@ -348,6 +367,64 @@ pub(crate) struct LAccess {
     pub(crate) max_flat: i64,
 }
 
+/// The shape of a loop whose body is only statements, computed once at
+/// lowering: what the engine's integer-exact leaf path needs, so one
+/// execution of the loop evaluates only its trip count, the exactness
+/// bound and the cursor starts.
+#[derive(Debug, Clone)]
+pub(crate) struct LeafShape {
+    /// Statements per iteration.
+    pub(crate) stmts: u64,
+    /// ALU cycles per iteration.
+    pub(crate) alu: u64,
+    /// The most trips for which `trips × (header + Σ over statements of
+    /// (alu + accesses × max latency))` stays within 2^53, the bound
+    /// under which integer accumulation is exact (see the engine docs).
+    pub(crate) max_trips: u64,
+    /// Every statement's accesses, flattened in program order, each with
+    /// its coefficient on the loop's own iterator slot.
+    pub(crate) accesses: Vec<(LAccess, i64)>,
+}
+
+/// The [`LeafShape`] of a loop over `slot` with `step` and per-trip
+/// header charge `header_ovh`, whose lowered body is `body`. `None`
+/// unless the body is a non-empty list of statements, the step is
+/// positive and the ALU sum fits a `u64`.
+fn leaf_shape(
+    body: &[LNode],
+    slot: usize,
+    step: i64,
+    header_ovh: u64,
+    max_lat: u64,
+) -> Option<LeafShape> {
+    if step <= 0 || body.is_empty() {
+        return None;
+    }
+    let mut shape = LeafShape {
+        stmts: 0,
+        alu: 0,
+        max_trips: 0,
+        accesses: Vec::new(),
+    };
+    let mut per_iter = u128::from(header_ovh);
+    for n in body {
+        let LNode::Stmt { alu, accesses } = n else {
+            return None;
+        };
+        shape.stmts += 1;
+        shape.alu = shape.alu.checked_add(*alu)?;
+        per_iter = per_iter
+            .saturating_add(u128::from(*alu))
+            .saturating_add((accesses.len() as u128).saturating_mul(u128::from(max_lat)));
+        shape
+            .accesses
+            .extend(accesses.iter().map(|a| (a.clone(), a.linear.coeff(slot))));
+    }
+    // Every statement charges at least one ALU cycle, so `per_iter > 0`.
+    shape.max_trips = u64::try_from((1u128 << 53) / per_iter).unwrap_or(u64::MAX);
+    Some(shape)
+}
+
 #[derive(Debug, Clone)]
 pub(crate) enum LNode {
     Loop {
@@ -367,6 +444,8 @@ pub(crate) enum LNode {
         /// boundary implies exact periodicity; the engine's
         /// steady-state memoizer is only engaged here.
         body_invariant: bool,
+        /// The loop's [`LeafShape`] when its body is only statements.
+        leaf: Option<Box<LeafShape>>,
         body: Vec<LNode>,
     },
     If {
@@ -413,6 +492,8 @@ struct Lowerer<'a> {
     bases: &'a HashMap<String, u64>,
     extents: &'a HashMap<String, Vec<i64>>,
     vec_info: &'a HashMap<Vec<usize>, VecInfo>,
+    /// The largest of the machine's three latencies.
+    max_lat: u64,
     slots: Vec<String>,
     /// The first lowering error, if any.
     error: Option<CostError>,
@@ -557,6 +638,7 @@ impl<'a> Lowerer<'a> {
                         vec_factor: self.vec_info.get(path.as_slice()).map(|v| v.factor),
                         header_ovh: ovh,
                         body_invariant: !references_slot(&body, slot),
+                        leaf: leaf_shape(&body, slot, l.step, ovh, self.max_lat).map(Box::new),
                         body,
                     });
                 }
@@ -673,6 +755,7 @@ impl<'a> Model<'a> {
                 vec_factor,
                 header_ovh,
                 body_invariant: _,
+                leaf: _,
                 body,
             } => {
                 let lbv = lb.eval(&self.iters);
@@ -933,6 +1016,7 @@ pub(crate) fn lower_for_cost(
         bases: &bases,
         extents: &extents,
         vec_info: &vec_info,
+        max_lat: cfg.lat_l1.max(cfg.lat_l2).max(cfg.lat_mem),
         slots: Vec::new(),
         error: None,
     };

@@ -48,7 +48,9 @@ fn work_unit_counters_are_pinned_and_pool_size_invariant() {
             reports.push(engine.estimate(p, &cfg).unwrap());
         }
     });
-    assert_eq!(serial, (17_843_328, 72_456_960));
+    // Elided line-run accesses are counted as L1 hits in the reports
+    // but are not simulated, so they are not in the access count.
+    assert_eq!(serial, (17_843_328, 10_981_888));
     let stats = engine.stats();
     assert_eq!(
         (stats.instances_simulated, stats.accesses_simulated),
@@ -56,7 +58,8 @@ fn work_unit_counters_are_pinned_and_pool_size_invariant() {
         "engine stats mirror the registry"
     );
 
-    // Replayed iterations are reported but not simulated.
+    // Replayed iterations and elided line runs are reported but not
+    // simulated.
     let reported_instances: u64 = reports.iter().map(|r| r.instances).sum();
     let reported_accesses: u64 = reports
         .iter()

@@ -275,3 +275,115 @@ fn layout_overflow_is_a_clean_error_on_both_paths() {
         }
     }
 }
+
+/// Pins `src` (parsed, not validated, so out-of-range subscripts stay
+/// in) and its depth-2 tiles of 4 and 8 where the nest allows them, on
+/// a fresh engine under `cfg`.
+fn pin_with_tiles(name: &str, src: &str, cfg: &MachineConfig) {
+    let p = parse_program(src, name).unwrap();
+    pin(&CostEngine::new(), name, &p, cfg);
+    for size in [4, 8] {
+        if let Ok(t) = tile_band(&p, &[0], 2, size) {
+            pin(&CostEngine::new(), &format!("{name}/tile{size}"), &t, cfg);
+        }
+    }
+}
+
+/// The line-run elision's edge cases: short tiled point loops over one
+/// element (the tile-4 and tile-8 probe shapes), subscripts that walk
+/// backwards or run past either end of their array, and an exhausted
+/// budget at a leaf that would elide.
+#[test]
+fn line_run_edge_cases_pin_to_reference() {
+    // A triple nest over a one-element array, tiled three deep. At
+    // `N = 1000` it would simulate 10^9 instances, so the starved
+    // budget ends it early; `N = 40` runs to completion.
+    let probe = |n: i64| {
+        format!("param N = {n};\narray A[1];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) for (j = 0; j <= N - 1; j++) for (k = 0; k <= N - 1; k++) A[0] = A[0] + 1.0;\n#pragma endscop\n")
+    };
+    for (n, budget) in [(1000, 300_000), (40, 120_000_000)] {
+        let p = compile(&probe(n), "probe").unwrap();
+        for size in [4, 8] {
+            let t = tile_band(&p, &[0], 3, size).unwrap();
+            pin(
+                &CostEngine::new(),
+                &format!("probe N={n} tile{size}"),
+                &t,
+                &starved(budget),
+            );
+        }
+    }
+
+    let gcc = MachineConfig::gcc();
+    // Negative coefficients: cursors that move down their lines.
+    let reversed = "param N = 200;\narray A[N][N];\narray B[N];\narray C[N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) for (j = 0; j <= N - 1; j++) A[N - 1 - i][N - 1 - j] = A[N - 1 - i][N - 1 - j] + B[N - 1 - j] * C[j];\n#pragma endscop\n";
+    // Subscripts past the end and before the start of their arrays:
+    // clamped cursors, some of which walk back into range.
+    let clamped = "param N = 100;\narray A[N];\narray B[N];\narray C[N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) for (j = 0; j <= N + 20; j++) A[j] = A[j] + B[j - 30] + C[2 * j + 7];\n#pragma endscop\n";
+    // Point loops of five trips that start half-way into a line, so
+    // the last trip is the first on a line nothing else touches.
+    let partial = "param N = 64;\narray A[N][16];\narray B[N][16];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) for (j = 0; j <= 4; j++) A[i][j + 4] = A[i][j + 4] + B[i][11 - j];\n#pragma endscop\n";
+    for (name, src) in [
+        ("reversed", reversed),
+        ("clamped", clamped),
+        ("partial", partial),
+    ] {
+        pin_with_tiles(name, src, &gcc);
+    }
+
+    // An exhausted budget: in the first leaf execution, mid-way through
+    // the nest, and in the second statement of a two-statement leaf.
+    let unit = "param N = 300;\narray A[N][N];\narray B[N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) for (j = 0; j <= N - 1; j++) { A[i][j] = A[i][j] + B[j]; B[j] = B[j] * 0.5; }\n#pragma endscop\n";
+    for budget in [1, 299, 601, 45_000, 179_999, 180_000] {
+        pin_with_tiles("unit", unit, &starved(budget));
+    }
+}
+
+/// Five arrays spaced exactly one L1 way (1 KiB) apart, so all five
+/// unit-stride cursors share an L1 set: one iteration puts five
+/// distinct lines into a 4-way set, each access evicts the next, and
+/// the associativity check must refuse the run.
+#[test]
+fn line_runs_over_a_thrashed_set_pin_to_reference() {
+    let cfg = MachineConfig::gcc();
+    assert_eq!(
+        cfg.l1.size_bytes / cfg.l1.assoc,
+        1024,
+        "the arrays must be one L1 way apart"
+    );
+    // 120 elements are 960 bytes, laid out with a 64-byte guard.
+    let src = "param N = 120;\narray A[N];\narray B[N];\narray C[N];\narray D[N];\narray E[N];\nout A;\n#pragma scop\nfor (t = 0; t <= 3; t++) for (i = 0; i <= N - 1; i++) A[i] = B[i] + C[i] + D[i] + E[i];\n#pragma endscop\n";
+    let p = compile(src, "thrash").unwrap();
+    let engine = CostEngine::new();
+    pin(&engine, "thrash", &p, &cfg);
+    let r = engine.estimate(&p, &cfg).unwrap();
+    assert_eq!(r.l1_hits, 0, "every access should miss L1: {r:?}");
+    // Four of the five arrays fit one set, so runs form there.
+    let four = src.replace(" + E[i]", "");
+    let p = compile(&four, "four").unwrap();
+    pin(&engine, "four", &p, &cfg);
+    assert!(engine.estimate(&p, &cfg).unwrap().l1_hits > 0);
+}
+
+/// A 96-byte L1 line: lines are not a power of two in size, so the
+/// offsets the run lengths start from come from division, and
+/// line-aligned arrays straddle lines at varying offsets.
+#[test]
+fn line_runs_on_a_non_power_of_two_line_pin_to_reference() {
+    let mut cfg = MachineConfig::gcc();
+    cfg.l1 = CacheGeometry {
+        size_bytes: 6144,
+        line_bytes: 96,
+        assoc: 4,
+    };
+    assert_eq!(cfg.l1.sets(), 16);
+    let engine = CostEngine::new();
+    for (name, p) in kernel_stride(9) {
+        pin(&engine, &name, &p, &cfg);
+        if let Ok(t) = tile_band(&p, &[0], 2, 4) {
+            pin(&engine, &format!("{name}/tile4"), &t, &cfg);
+        }
+    }
+    let stream = "param N = 1000;\narray A[N];\narray B[N];\nout A;\n#pragma scop\nfor (i = 1; i <= N - 2; i++) A[i] = B[i - 1] + B[i + 1];\n#pragma endscop\n";
+    pin_with_tiles("stream", stream, &cfg);
+}
