@@ -24,6 +24,8 @@
 //! (the hybrid gemm arm) and writes it as Chrome `trace_event` JSON —
 //! load at `chrome://tracing` or in Perfetto. On its own it runs only
 //! the trace capture; combine with experiment ids to also run those.
+//! An id not in `experiments::EXPERIMENTS` exits 2 with the list of known
+//! ids, before any dataset is synthesized.
 
 use looprag_bench::experiments;
 use looprag_bench::{EvalOptions, Harness};
@@ -128,6 +130,23 @@ fn main() {
     } else {
         ids
     };
+    // Resolve every id before the harness synthesizes its datasets (about
+    // a minute without --quick), so a typo or a retired id fails at once.
+    let mut runs = Vec::with_capacity(ids.len());
+    for id in &ids {
+        match experiments::experiment(id) {
+            Some(run) => runs.push(run),
+            None => {
+                let known: Vec<&str> = experiments::EXPERIMENTS.iter().map(|(k, _)| *k).collect();
+                eprintln!("unknown experiment id '{id}'");
+                eprintln!(
+                    "usage: experiments [--quick] [flags] [id...]; ids: {}",
+                    known.join(" ")
+                );
+                std::process::exit(2);
+            }
+        }
+    }
 
     let mut opts = if quick {
         EvalOptions {
@@ -169,26 +188,7 @@ fn main() {
         experiments::serve_arm(&h, requests);
     }
 
-    for id in ids {
-        match id {
-            "all" => experiments::run_all(&h),
-            "fig1" => experiments::fig1(&h),
-            "table1" => experiments::table1(&h),
-            "fig6" => experiments::fig6(&h),
-            "table2" => experiments::table2(&h),
-            "fig7" => experiments::fig7(&h),
-            "table3" | "fig8" => experiments::table3_fig8(&h),
-            "fig9" => experiments::fig9(&h),
-            "table4" => experiments::table4(&h),
-            "table5" | "fig10" => experiments::table5_fig10(&h),
-            "table6" | "fig11" => experiments::table6_fig11(&h),
-            "table7" | "fig12" => experiments::table7_fig12(&h),
-            "fig14" => experiments::fig14(&h),
-            "ablation_tile" => experiments::ablation_tile(&h),
-            "ablation_penalty" => experiments::ablation_penalty(&h),
-            "ablation_coverage" => experiments::ablation_coverage(&h),
-            "ablation_demos" => experiments::ablation_demos(&h),
-            other => eprintln!("unknown experiment id '{other}'"),
-        }
+    for run in runs {
+        run(&h);
     }
 }

@@ -710,48 +710,6 @@ pub fn ablation_penalty(h: &Harness) {
     }
 }
 
-/// Ablation: coverage-guided test reduction — how many generated inputs
-/// are kept, and whether the reduced suite still catches a planted bug.
-pub fn ablation_coverage(h: &Harness) {
-    use looprag_eqcheck::{build_test_suite, differential_test, EqCheckConfig, TestVerdict};
-    println!("\n=== Ablation: coverage-guided test reduction ===");
-    let mut total_gen = 0usize;
-    let mut total_kept = 0usize;
-    let mut caught = 0usize;
-    let mut mutants = 0usize;
-    for b in h.kernels(Suite::PolyBench).iter().take(10) {
-        let p = b.program();
-        let cfg = EqCheckConfig::default();
-        let suite = build_test_suite(&p, &cfg);
-        total_gen += suite.generated;
-        total_kept += suite.inputs.len();
-        // Plant an off-by-one in the first statement's write.
-        let mut bad = p.clone();
-        let mut done = false;
-        for node in &mut bad.body {
-            node.for_each_stmt_mut(&mut |s| {
-                if !done {
-                    if let Some(e) = s.lhs.indexes.first_mut() {
-                        *e = e.clone() + 1;
-                        done = true;
-                    }
-                }
-            });
-        }
-        if done && looprag_ir::validate(&bad).is_ok() {
-            mutants += 1;
-            if differential_test(&p, &bad, &suite, &cfg) != TestVerdict::Pass {
-                caught += 1;
-            }
-        }
-    }
-    println!(
-        "inputs: generated {total_gen}, kept {total_kept} ({:.0}% reduction; paper: 500+ -> ~25)",
-        100.0 * (1.0 - total_kept as f64 / total_gen.max(1) as f64)
-    );
-    println!("planted off-by-one mutants caught: {caught}/{mutants}");
-}
-
 /// Runs every experiment.
 pub fn run_all(h: &Harness) {
     fig1(h);
@@ -768,5 +726,60 @@ pub fn run_all(h: &Harness) {
     fig14(h);
     ablation_tile(h);
     ablation_penalty(h);
-    ablation_coverage(h);
+}
+
+/// One experiment: prints its table or figure.
+pub type Experiment = fn(&Harness);
+
+/// Every experiment id the `experiments` binary accepts, with the
+/// function it runs; paired artifacts (`table3`/`fig8`, ...) share one.
+pub const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("all", run_all),
+    ("fig1", fig1),
+    ("table1", table1),
+    ("fig6", fig6),
+    ("table2", table2),
+    ("fig7", fig7),
+    ("table3", table3_fig8),
+    ("fig8", table3_fig8),
+    ("fig9", fig9),
+    ("table4", table4),
+    ("table5", table5_fig10),
+    ("fig10", table5_fig10),
+    ("table6", table6_fig11),
+    ("fig11", table6_fig11),
+    ("table7", table7_fig12),
+    ("fig12", table7_fig12),
+    ("fig14", fig14),
+    ("ablation_tile", ablation_tile),
+    ("ablation_penalty", ablation_penalty),
+    ("ablation_demos", ablation_demos),
+];
+
+/// The function [`EXPERIMENTS`] lists for `id`, `None` for an unknown id.
+pub fn experiment(id: &str) -> Option<Experiment> {
+    EXPERIMENTS
+        .iter()
+        .find(|(name, _)| *name == id)
+        .map(|&(_, run)| run)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn experiment_ids_are_unique_and_resolve() {
+        for (i, (id, _)) in EXPERIMENTS.iter().enumerate() {
+            assert!(
+                EXPERIMENTS[i + 1..].iter().all(|(other, _)| other != id),
+                "duplicate id {id}"
+            );
+            assert!(experiment(id).is_some(), "{id} does not resolve");
+        }
+        assert!(experiment("all").is_some());
+        for unknown in ["no_such_id", "", "--quick", "Fig1"] {
+            assert!(experiment(unknown).is_none(), "{unknown:?} resolves");
+        }
+    }
 }

@@ -7,8 +7,10 @@
 //!   candidates, compile each.
 //! * **Step 2** — regenerate compile failures with the compiler
 //!   diagnostics (first round of compilation feedback), then run
-//!   mutation/coverage/differential testing and rank the survivors by
-//!   estimated performance.
+//!   differential testing on the seed inputs and rank the survivors by
+//!   estimated performance. (The paper also mutates inputs and keeps
+//!   those that add branch coverage; control flow here never reads array
+//!   values, so that selection would keep exactly the seeds.)
 //! * **Step 3** — prompt with testing results and performance rankings,
 //!   generate a fresh batch.
 //! * **Step 4** — repeat compile-repair and testing for the new batch,
@@ -761,14 +763,14 @@ impl LoopRag {
         let mut model = SimLlm::new(self.config.profile.clone(), rng.gen());
         let target_text = print_program(target);
         // Per-kernel preparation, built once and shared by every
-        // candidate: the coverage suite, the original scaled and
-        // compiled (candidates stop recompiling it), the ground-truth
-        // stores for all suite inputs from one batched sweep (candidates
-        // stop re-running the original), and the baseline cost for
+        // candidate: the seed-input suite (nothing runs to build it),
+        // the original scaled, the ground-truth output arrays for all
+        // suite inputs from one batched sweep (candidates stop
+        // re-running the original), and the baseline cost for
         // speedup ranking (engine-backed: a repeat kernel, or one a
         // search arm already scored, is a cache hit). Each candidate
         // verdict is then a batched lane sweep against the cached
-        // expected stores.
+        // expected outputs.
         let (prepared, orig_cost) = {
             let _s = looprag_trace::span(rec, "stage.prepare", String::new);
             let prepared = PreparedTarget::prepare(target, &self.config.eqcheck);

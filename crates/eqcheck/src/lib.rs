@@ -1,9 +1,8 @@
 //! # looprag-eqcheck
 //!
 //! Semantic-equivalence checking for LLM-generated code (§4.3): seed
-//! input generation, value/operator/statement-based input mutation,
-//! coverage-guided test selection, and differential testing with a
-//! checksum quick-filter followed by element-wise comparison.
+//! input generation and differential testing with a checksum
+//! quick-filter followed by element-wise comparison.
 //!
 //! The paper treats equivalence pragmatically — it is undecidable in
 //! general, so the generated program is *tested*, not proven. This crate
@@ -11,6 +10,13 @@
 //! one strengthening the interpreter makes cheap: candidates whose
 //! parallel-marked loops are illegal are exposed by re-running them under
 //! permuted iteration orders.
+//!
+//! The paper also mutates inputs and keeps a mutant only while it adds
+//! branch coverage. That selection does nothing in this language: loop
+//! bounds, guards, faults and budgets are affine in parameters and
+//! iterators and never read array values, so every input covers exactly
+//! what the first one covers. The suite is therefore the
+//! [`seed_inputs`], and nothing is run to select it.
 //!
 //! The production path is *batched*: all suite inputs run as lanes of
 //! one [`BatchStore`] sweep per iteration order, and the ground truth is
@@ -21,12 +27,13 @@
 //! pinned bit-for-bit against the batched verdicts.
 //!
 //! ```
-//! use looprag_eqcheck::{build_test_suite, differential_test, EqCheckConfig, TestVerdict};
+//! use looprag_eqcheck::{build_test_suite, differential_test, seed_inputs, EqCheckConfig, TestVerdict};
 //! let src = "param N = 32;\narray A[N];\nout A;\n#pragma scop\n\
 //! for (i = 0; i <= N - 1; i++) A[i] = A[i] * 2.0;\n#pragma endscop\n";
 //! let p = looprag_ir::compile(src, "k")?;
 //! let cfg = EqCheckConfig::default();
 //! let suite = build_test_suite(&p, &cfg);
+//! assert_eq!(suite.inputs, seed_inputs(&p));
 //! assert_eq!(differential_test(&p, &p, &suite, &cfg), TestVerdict::Pass);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -35,13 +42,11 @@
 
 pub use looprag_exec::InputSpec;
 use looprag_exec::{
-    run_with_store_reference, ArrayStore, BatchStore, CompiledProgram, Coverage, ExecConfig,
-    ExecError, ParallelOrder,
+    run_with_store_reference, ArrayStore, BatchStore, CompiledProgram, ExecConfig, ExecError,
+    ParallelOrder,
 };
 use looprag_ir::{adaptive_sampling_cap, InitKind, Program};
 use looprag_transform::scaled_clone;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -75,17 +80,12 @@ impl fmt::Display for TestVerdict {
     }
 }
 
-/// Configuration for suite building and differential testing.
+/// Configuration for differential testing.
 #[derive(Debug, Clone)]
 pub struct EqCheckConfig {
-    /// RNG seed for input mutation.
-    pub seed: u64,
     /// Base parameter cap for scaled-down runs (widened adaptively for
     /// tiled candidates).
     pub param_cap: i64,
-    /// Number of mutated candidate inputs to generate before
-    /// coverage-guided selection.
-    pub candidate_inputs: usize,
     /// Relative tolerance for element-wise comparison.
     pub rel_eps: f64,
     /// Statement budget per run (the execution-timeout threshold).
@@ -95,9 +95,7 @@ pub struct EqCheckConfig {
 impl Default for EqCheckConfig {
     fn default() -> Self {
         EqCheckConfig {
-            seed: 0xC0FFEE,
             param_cap: 8,
-            candidate_inputs: 40,
             rel_eps: 1e-6,
             stmt_budget: 20_000_000,
         }
@@ -106,38 +104,28 @@ impl Default for EqCheckConfig {
 
 impl EqCheckConfig {
     /// A canonical fingerprint of every field. Two configs with equal
-    /// fingerprints produce identical suites and verdicts for the same
-    /// programs; the serve layer folds this into its memo key.
+    /// fingerprints produce identical verdicts for the same programs; the
+    /// serve layer folds this into its memo key.
     pub fn fingerprint(&self) -> String {
         // Exhaustive destructuring: adding a field without folding it
         // into the fingerprint becomes a compile error.
         let EqCheckConfig {
-            seed,
             param_cap,
-            candidate_inputs,
             rel_eps,
             stmt_budget,
         } = self;
         format!(
-            "eq:s{seed}|cap{param_cap}|ci{candidate_inputs}|eps{:016x}|sb{stmt_budget}",
+            "eq:cap{param_cap}|eps{:016x}|sb{stmt_budget}",
             rel_eps.to_bits()
         )
     }
 }
 
-/// A coverage-selected test suite.
+/// The inputs every candidate is tested on.
 #[derive(Debug, Clone)]
 pub struct TestSuite {
-    /// The kept inputs.
+    /// One input per lane of a differential-test sweep.
     pub inputs: Vec<InputSpec>,
-    /// Branch coverage achieved on the ground-truth program.
-    pub coverage: Coverage,
-    /// How many candidate inputs were generated before selection.
-    pub generated: usize,
-    /// How many generated inputs remained after semantic deduplication
-    /// (mutation can recreate an earlier input; duplicates are dropped
-    /// before anything runs).
-    pub unique: usize,
 }
 
 fn array_names(p: &Program) -> Vec<String> {
@@ -169,79 +157,6 @@ pub fn seed_inputs(p: &Program) -> Vec<InputSpec> {
         .collect()
 }
 
-/// Mutates an input: value-based (constants of the pattern),
-/// operator-based (pattern kind), or statement-based (per-array swap).
-pub fn mutate_input(spec: &InputSpec, rng: &mut StdRng) -> InputSpec {
-    let mut out = spec.clone();
-    if out.is_empty() {
-        return out;
-    }
-    match rng.gen_range(0..3) {
-        // Value-based: perturb the constants of one array's pattern.
-        0 => {
-            let k = rng.gen_range(0..out.len());
-            out[k].1 = match &out[k].1 {
-                InitKind::IndexPattern { a, b, m } => InitKind::IndexPattern {
-                    a: a + rng.gen_range(1..7i64),
-                    b: b + rng.gen_range(0..5i64),
-                    m: (m + rng.gen_range(0..17i64)).max(2),
-                },
-                InitKind::Constant(c) => InitKind::Constant(c + rng.gen_range(-3..=3) as f64),
-                InitKind::Zero => InitKind::Constant(rng.gen_range(-2..=2) as f64),
-            };
-        }
-        // Operator-based: switch the pattern kind.
-        1 => {
-            let k = rng.gen_range(0..out.len());
-            out[k].1 = match &out[k].1 {
-                InitKind::Zero => InitKind::default_pattern(),
-                InitKind::Constant(_) => InitKind::IndexPattern {
-                    a: rng.gen_range(1..23),
-                    b: rng.gen_range(0..11),
-                    m: rng.gen_range(3..201),
-                },
-                InitKind::IndexPattern { .. } => InitKind::Constant(rng.gen_range(-4..=4) as f64),
-            };
-        }
-        // Statement-based: swap two arrays' initializations.
-        _ => {
-            if out.len() >= 2 {
-                let (a, b) = distinct_pair(rng, out.len());
-                out.swap(a, b);
-            }
-        }
-    }
-    out
-}
-
-/// Draws two *distinct* indices in `0..len` (`len >= 2`): the statement
-/// mutation must never swap an array with itself — that would advance
-/// the RNG stream while leaving the input unchanged, silently feeding
-/// duplicates into the pool.
-fn distinct_pair(rng: &mut StdRng, len: usize) -> (usize, usize) {
-    let a = rng.gen_range(0..len);
-    let mut b = rng.gen_range(0..len - 1);
-    if b >= a {
-        b += 1;
-    }
-    (a, b)
-}
-
-/// Whether two inputs build the same store — compared order-insensitively,
-/// since a swap of equal initializations reorders the spec without
-/// changing any array's contents.
-fn same_input(a: &InputSpec, b: &InputSpec) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    fn canon(s: &InputSpec) -> Vec<&(String, InitKind)> {
-        let mut v: Vec<&(String, InitKind)> = s.iter().collect();
-        v.sort_by(|x, y| x.0.cmp(&y.0));
-        v
-    }
-    canon(a) == canon(b)
-}
-
 fn store_for(p: &Program, spec: &InputSpec) -> ArrayStore {
     let mut store = ArrayStore::from_program(p);
     for (name, init) in spec {
@@ -252,72 +167,18 @@ fn store_for(p: &Program, spec: &InputSpec) -> ArrayStore {
     store
 }
 
-/// Builds a coverage-guided test suite on the ground-truth program: the
-/// seed inputs are always kept, a mutated input only while it increases
-/// branch coverage, and the pooled inputs run (each as a one-lane batch)
-/// until coverage saturates or eight in a row add nothing.
+/// The test suite for `p`: its [`seed_inputs`], with nothing run to
+/// select them. `cfg` is not read; the parameter stays so callers keep
+/// one signature.
 ///
-/// This is the paper's selection mechanism (500+ tests reduced to ~25),
-/// but here it never keeps a mutant. Control flow in this language does
-/// not depend on array values, so coverage does not depend on the input:
-/// every input covers exactly what the first seed covered. Every suite
-/// kernel therefore keeps exactly its [`seed_inputs`]
-/// (`tests/engine_differential.rs` pins that).
-pub fn build_test_suite(p: &Program, cfg: &EqCheckConfig) -> TestSuite {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let cap = adaptive_sampling_cap(p, cfg.param_cap, 400_000.0);
-    let small = scaled_clone(p, cap);
-    // Compile once; every candidate input reuses the lowered form.
-    let compiled = CompiledProgram::compile(&small);
-    let mut total = Coverage::default();
-    let mut kept = Vec::new();
-    let seeds = seed_inputs(p);
-    let mut pool: Vec<InputSpec> = seeds.clone();
-    let mut generated = pool.len();
-    while pool.len() < cfg.candidate_inputs {
-        let base = pool[rng.gen_range(0..pool.len())].clone();
-        pool.push(mutate_input(&base, &mut rng));
-        generated += 1;
-    }
-    // Mutation can recreate an earlier input; duplicates add no coverage
-    // and would only burn execution budget, so drop them (order-
-    // preserving) before anything runs.
-    let mut unique_pool: Vec<InputSpec> = Vec::with_capacity(pool.len());
-    for spec in pool {
-        if !unique_pool.iter().any(|u| same_input(u, &spec)) {
-            unique_pool.push(spec);
-        }
-    }
-    let unique = unique_pool.len();
-    let exec_cfg = ExecConfig {
-        stmt_budget: cfg.stmt_budget,
-        parallel_order: ParallelOrder::Forward,
-    };
-    let mut stale_rounds = 0;
-    for (i, spec) in unique_pool.iter().enumerate() {
-        let mut store = BatchStore::from_program(&small, 1);
-        store.fill_lane(0, spec);
-        let Ok(stats) = compiled.run_batched(&mut store, &exec_cfg, None).remove(0) else {
-            continue;
-        };
-        let grew = total.merge(&stats.coverage);
-        // Always keep the first few seeds; afterwards keep only inputs
-        // that extend coverage, and stop once coverage saturates.
-        if i < seeds.len() || grew {
-            kept.push(spec.clone());
-            stale_rounds = 0;
-        } else {
-            stale_rounds += 1;
-        }
-        if total.ratio() >= 1.0 || stale_rounds >= 8 {
-            break;
-        }
-    }
+/// The paper keeps a mutated input only while it adds branch coverage
+/// (500+ tests reduced to ~25). Here control flow never depends on array
+/// values, so coverage cannot depend on the input and such a selection
+/// keeps the seeds and nothing else — except on a loop-free kernel,
+/// which has no branch sites and would keep only the first seed.
+pub fn build_test_suite(p: &Program, _cfg: &EqCheckConfig) -> TestSuite {
     TestSuite {
-        inputs: kept,
-        coverage: total,
-        generated,
-        unique,
+        inputs: seed_inputs(p),
     }
 }
 
@@ -502,12 +363,13 @@ fn reference_verdict(
 }
 
 /// The ground truth executed once for a whole suite: every input's final
-/// store held as one lane of a [`BatchStore`], plus the per-input output
-/// checksums. Candidates compare against these cached lanes instead of
-/// re-running the original per input per candidate.
+/// output arrays held as one lane of a [`BatchStore`], plus the per-input
+/// output checksums. Candidates compare against these cached lanes
+/// instead of re-running the original per input per candidate.
 #[derive(Debug)]
 struct ExpectedLanes {
-    /// The original's final stores, one lane per suite input.
+    /// The original's final output arrays, one lane per suite input;
+    /// verdicts read nothing else, so the other arrays are dropped.
     stores: BatchStore,
     /// Per input: whether the ground-truth run succeeded.
     ok: Vec<bool>,
@@ -517,7 +379,7 @@ struct ExpectedLanes {
 
 impl ExpectedLanes {
     /// Runs the scaled original over all suite inputs as one batched
-    /// Forward sweep and caches the per-lane stores and checksums.
+    /// Forward sweep and caches the per-lane output arrays and checksums.
     fn prepare(orig: &Program, suite: &TestSuite, cfg: &EqCheckConfig) -> Self {
         count_ground_truth_run();
         let n = suite.inputs.len();
@@ -535,6 +397,7 @@ impl ExpectedLanes {
         let checksums: Vec<f64> = (0..n)
             .map(|lane| if ok[lane] { sums[lane] } else { f64::NAN })
             .collect();
+        stores.retain_arrays(&orig.outputs);
         ExpectedLanes {
             stores,
             ok,
@@ -695,8 +558,7 @@ fn lane_mismatch(
     None
 }
 
-/// A kernel prepared for repeated differential testing: the coverage
-/// suite plus a memo of the original's ground truth per sampling cap.
+/// A kernel prepared for repeated differential testing: the suite plus a memo of the original's ground truth per sampling cap.
 /// Each entry is the original scaled to that cap and executed over the
 /// whole suite once; its per-input final stores and checksums are
 /// [`BatchStore`] lanes that every candidate tested at that cap compares
@@ -717,8 +579,8 @@ fn lane_mismatch(
 pub struct PreparedTarget {
     original: Program,
     suite: TestSuite,
-    /// The config the target was prepared with; every ground truth runs
-    /// under its statement budget.
+    /// The config the target was prepared with; the ground truths and
+    /// every candidate run under it.
     cfg: EqCheckConfig,
     /// The original's own sampling cap.
     cap: i64,
@@ -748,7 +610,7 @@ impl PreparedTarget {
         &self.original
     }
 
-    /// The coverage-selected test suite.
+    /// The test suite (the original's [`seed_inputs`]).
     pub fn suite(&self) -> &TestSuite {
         &self.suite
     }
@@ -764,17 +626,26 @@ impl PreparedTarget {
         cell
     }
 
-    /// [`differential_test`] against the prepared original, with `cfg`
-    /// the config the target was prepared with. Verdicts are identical
-    /// to the one-shot function; the ground truth at the candidate's cap
-    /// comes from the memo.
+    /// [`differential_test`] against the prepared original. Verdicts are
+    /// identical to the one-shot function under the preparation config;
+    /// the ground truth at the candidate's cap comes from the memo.
+    ///
+    /// The sampling cap, statement budget and tolerance all come from the
+    /// preparation config, so the candidate and the ground truth always
+    /// run under one config. `cfg` must equal it (checked in debug
+    /// builds); the parameter stays so callers keep one signature.
     pub fn differential_test(&self, candidate: &Program, cfg: &EqCheckConfig) -> TestVerdict {
+        debug_assert_eq!(
+            cfg.fingerprint(),
+            self.cfg.fingerprint(),
+            "PreparedTarget tested under a config other than its preparation config"
+        );
+        let cfg = &self.cfg;
         let cap = adaptive_sampling_cap(candidate, cfg.param_cap, 400_000.0).max(self.cap);
         // Computed outside the memo lock: other caps proceed in
         // parallel, and the cell runs its sweep exactly once.
         let cell = self.truth_cell(cap);
-        let truth =
-            cell.get_or_init(|| GroundTruth::new(&self.original, cap, &self.suite, &self.cfg));
+        let truth = cell.get_or_init(|| GroundTruth::new(&self.original, cap, &self.suite, cfg));
         let verdict = differential_test_batched(truth, candidate, &self.suite, cfg);
         count_verdict(&verdict);
         verdict
@@ -793,24 +664,6 @@ mod tests {
             "gemm",
         )
         .unwrap()
-    }
-
-    #[test]
-    fn suite_reduces_inputs_via_coverage() {
-        let p = compile(
-            "param N = 64;\narray A[N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) if (i >= 2) A[i] = A[i] + 1.0;\n#pragma endscop\n",
-            "g",
-        )
-        .unwrap();
-        let cfg = EqCheckConfig::default();
-        let suite = build_test_suite(&p, &cfg);
-        assert!(suite.generated >= suite.inputs.len());
-        assert!(
-            suite.inputs.len() <= 12,
-            "coverage selection should keep few inputs, kept {}",
-            suite.inputs.len()
-        );
-        assert!(suite.coverage.ratio() > 0.5);
     }
 
     #[test]
@@ -986,57 +839,53 @@ mod tests {
         }
     }
 
-    /// Regression (no-op mutation): the statement arm must always swap
-    /// two *different* entries.
+    /// Regression (vacuous pass on a loop-free kernel): such a kernel
+    /// has no branch sites, so coverage-guided selection saturated on the
+    /// first seed and kept one input. The two bodies below agree on that
+    /// input only (x + 1 = 13.125 x at x = 8/97, the first seed's `A[1]`),
+    /// so it takes the other seeds to tell them apart.
     #[test]
-    fn distinct_pair_never_collides_and_is_deterministic() {
-        for seed in 0..64u64 {
-            for len in 2..6usize {
-                let mut r1 = StdRng::seed_from_u64(seed);
-                let mut r2 = StdRng::seed_from_u64(seed);
-                let (a, b) = distinct_pair(&mut r1, len);
-                assert_ne!(a, b, "seed {seed} len {len} drew identical indices");
-                assert!(a < len && b < len);
-                assert_eq!((a, b), distinct_pair(&mut r2, len));
-            }
-        }
-    }
-
-    /// Regression (pool duplicates): the generated pool is deduped
-    /// semantically before anything runs, and the suite records it.
-    #[test]
-    fn suite_pool_is_deduped() {
-        let p = gemm();
+    fn loop_free_kernel_keeps_every_seed_and_catches_the_wrong_operator() {
+        let kernel = |body: &str| {
+            compile(
+                &format!(
+                    "param N = 8;\narray A[N];\nout A;\n#pragma scop\n{body}\n#pragma endscop\n"
+                ),
+                "loop_free",
+            )
+            .unwrap()
+        };
+        let p = kernel("A[0] = A[1] + 1.0;");
+        let wrong = kernel("A[0] = A[1] * 13.125;");
         let cfg = EqCheckConfig::default();
         let suite = build_test_suite(&p, &cfg);
-        assert_eq!(suite.generated, cfg.candidate_inputs);
-        assert!(
-            suite.unique < suite.generated,
-            "the default-seed pool has collisions; unique {} of {}",
-            suite.unique,
-            suite.generated
-        );
-        for (i, a) in suite.inputs.iter().enumerate() {
-            for b in &suite.inputs[i + 1..] {
-                assert!(!same_input(a, b), "kept inputs contain duplicates");
-            }
+        assert_eq!(suite.inputs, seed_inputs(&p));
+        assert_eq!(suite.inputs.len(), 4);
+        let verdicts = [
+            differential_test(&p, &wrong, &suite, &cfg),
+            differential_test_reference(&p, &wrong, &suite, &cfg),
+            PreparedTarget::prepare(&p, &cfg).differential_test(&wrong, &cfg),
+        ];
+        for v in verdicts {
+            assert!(
+                matches!(v, TestVerdict::IncorrectAnswer { .. }),
+                "expected an incorrect answer, got {v:?}"
+            );
         }
     }
 
+    /// A prepared target runs the candidate under its preparation config;
+    /// passing another one is a caller bug that debug builds catch.
+    #[cfg(debug_assertions)]
     #[test]
-    fn mutations_are_deterministic_and_diverse() {
+    #[should_panic(expected = "preparation config")]
+    fn prepared_target_rejects_a_different_config() {
         let p = gemm();
-        let seeds = seed_inputs(&p);
-        let mut rng1 = StdRng::seed_from_u64(5);
-        let mut rng2 = StdRng::seed_from_u64(5);
-        let a = mutate_input(&seeds[0], &mut rng1);
-        let b = mutate_input(&seeds[0], &mut rng2);
-        assert_eq!(a, b);
-        let mut distinct = std::collections::HashSet::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..30 {
-            distinct.insert(format!("{:?}", mutate_input(&seeds[0], &mut rng)));
-        }
-        assert!(distinct.len() > 10, "mutations look degenerate");
+        let prepared = PreparedTarget::prepare(&p, &EqCheckConfig::default());
+        let other = EqCheckConfig {
+            stmt_budget: 1_000,
+            ..Default::default()
+        };
+        prepared.differential_test(&p, &other);
     }
 }

@@ -31,7 +31,6 @@
 //! `tests/engine_differential.rs`.
 
 use crate::compile::{CAccess, CLoop, CNode, CStmt, CompiledProgram, Op};
-use crate::coverage::Coverage;
 use crate::interp::{ExecConfig, ExecError, ExecStats, ParallelOrder};
 use crate::store::{element_count, flatten_extents, ArrayData, ArrayStore, InputSpec};
 use looprag_ir::{AssignOp, BinOp, Program};
@@ -126,6 +125,28 @@ impl BatchStore {
     /// Resolves a name to its dense store index.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.index.get(name).copied()
+    }
+
+    /// Drops every array not named in `keep`; the kept arrays' lanes are
+    /// untouched and keep their relative order.
+    pub fn retain_arrays(&mut self, keep: &[String]) {
+        let mut i = 0;
+        while i < self.names.len() {
+            if keep.contains(&self.names[i]) {
+                i += 1;
+            } else {
+                self.names.remove(i);
+                self.extents.remove(i);
+                self.lens.remove(i);
+                self.data.remove(i);
+            }
+        }
+        self.index = self
+            .names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.clone(), i))
+            .collect();
     }
 
     /// Loads `input` into one lane: each named array's lane is
@@ -297,7 +318,6 @@ impl CompiledProgram {
             live: vec![true; lanes],
             n_live: lanes,
             fault: vec![None; lanes],
-            coverage: Coverage::with_sites(self.n_ifs, self.n_loops),
             frame: vec![0; self.n_slots],
             stack: Vec::with_capacity(16 * lanes),
             args: Vec::with_capacity(4),
@@ -313,13 +333,12 @@ impl CompiledProgram {
         }
         let stats = ExecStats {
             stmts_executed: m.executed,
-            coverage: m.coverage,
         };
         m.fault
             .into_iter()
             .map(|f| match f {
                 Some(e) => Err(e),
-                None => Ok(stats.clone()),
+                None => Ok(stats),
             })
             .collect()
     }
@@ -362,7 +381,6 @@ struct BatchMachine<'c, 's> {
     n_live: usize,
     /// Latched per-lane error; `Some` implies the lane is dead.
     fault: Vec<Option<ExecError>>,
-    coverage: Coverage,
     frame: Vec<i64>,
     /// Postfix evaluation stack in stripes of `lanes` values.
     stack: Vec<f64>,
@@ -595,12 +613,9 @@ impl<'c> BatchMachine<'c, '_> {
         if !l.ub_inclusive {
             ub -= 1;
         }
-        let site = l.site as usize;
         if ub < lb {
-            self.coverage.loops[site].1 = true;
             return Ok(());
         }
-        self.coverage.loops[site].0 = true;
         let step = l.step;
         // Degenerate steps: one iteration at the lower bound, matching
         // the reference walker.
@@ -652,7 +667,7 @@ impl<'c> BatchMachine<'c, '_> {
         match n {
             CNode::Stmt(s) => self.exec_stmt(s),
             CNode::Loop(l) => self.exec_loop(l),
-            CNode::If { conds, site, then } => {
+            CNode::If { conds, then } => {
                 let mut taken = true;
                 for (lhs, op, rhs) in conds.iter() {
                     let a = match lhs.eval(&self.frame) {
@@ -669,12 +684,9 @@ impl<'c> BatchMachine<'c, '_> {
                     }
                 }
                 if taken {
-                    self.coverage.ifs[*site as usize].0 = true;
                     for child in then.iter() {
                         self.exec_node(child)?;
                     }
-                } else {
-                    self.coverage.ifs[*site as usize].1 = true;
                 }
                 Ok(())
             }
@@ -867,6 +879,41 @@ mod tests {
         }
         assert!(all[0].is_nan());
         assert!(all[1].is_finite());
+    }
+
+    #[test]
+    fn retain_arrays_keeps_named_lanes_bit_for_bit() {
+        let p = gemm();
+        let mut batch = BatchStore::from_program(&p, 3);
+        batch.fill_lane(1, &vec![("A".into(), InitKind::Constant(1.5))]);
+        batch.fill_lane(2, &vec![("B".into(), InitKind::Zero)]);
+        CompiledProgram::compile(&p).run_batched(&mut batch, &ExecConfig::default(), None);
+        let before: Vec<ArrayStore> = (0..3).map(|lane| batch.lane_store(lane)).collect();
+        let keep = vec!["C".to_string(), "B".to_string()];
+        batch.retain_arrays(&keep);
+        assert_eq!(batch.len(), 2);
+        assert_eq!(batch.lanes(), 3);
+        assert_eq!(batch.index_of("A"), None);
+        for (lane, full) in before.iter().enumerate() {
+            let kept = batch.lane_store(lane);
+            assert_eq!(kept.get("A"), None, "lane {lane}");
+            for name in &keep {
+                let (a, b) = (full.get(name).unwrap(), kept.get(name).unwrap());
+                assert_eq!(a.extents, b.extents, "lane {lane} {name} extents");
+                assert!(
+                    a.data
+                        .iter()
+                        .zip(&b.data)
+                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "lane {lane} {name} data"
+                );
+            }
+            assert_eq!(
+                batch.checksum_lanes(&keep)[lane].to_bits(),
+                full.checksum(&keep).to_bits(),
+                "lane {lane} checksum"
+            );
+        }
     }
 
     #[test]

@@ -11,9 +11,7 @@
 //! * statement right-hand sides become a flat postfix op stream
 //!   evaluated over a reusable value stack;
 //! * affine loop bounds and `if` guards become slot-coefficient vectors
-//!   ([`LinForm`]);
-//! * coverage-site ids are assigned at compile time, replacing the
-//!   pointer-keyed site maps of the reference walker.
+//!   ([`LinForm`]).
 //!
 //! The compiled form is immutable and reusable: differential testing
 //! compiles the original and the candidate once and runs the same
@@ -117,7 +115,6 @@ pub(crate) struct CLoop {
     pub(crate) ub_inclusive: bool,
     pub(crate) step: i64,
     pub(crate) parallel: bool,
-    pub(crate) site: u32,
     pub(crate) body: Box<[CNode]>,
 }
 
@@ -127,7 +124,6 @@ pub(crate) enum CNode {
     Loop(CLoop),
     If {
         conds: Box<[(LinForm, CmpOp, LinForm)]>,
-        site: u32,
         then: Box<[CNode]>,
     },
 }
@@ -142,8 +138,6 @@ pub struct CompiledProgram {
     pub(crate) syms: Vec<String>,
     pub(crate) body: Vec<CNode>,
     pub(crate) n_slots: usize,
-    pub(crate) n_ifs: usize,
-    pub(crate) n_loops: usize,
 }
 
 struct Compiler<'p> {
@@ -155,8 +149,6 @@ struct Compiler<'p> {
     ops: Vec<Op>,
     accesses: Vec<CAccess>,
     syms: Vec<String>,
-    n_ifs: usize,
-    n_loops: usize,
 }
 
 impl<'p> Compiler<'p> {
@@ -269,16 +261,13 @@ impl<'p> Compiler<'p> {
         }
     }
 
-    /// Lowers a node list; `if`/loop sites are numbered pre-order, in the
-    /// same order as the reference walker's `number_sites`.
+    /// Lowers a node list.
     fn nodes(&mut self, nodes: &'p [Node]) -> Box<[CNode]> {
         let mut out = Vec::with_capacity(nodes.len());
         for n in nodes {
             match n {
                 Node::Stmt(s) => out.push(CNode::Stmt(self.stmt(s))),
                 Node::If { conds, then } => {
-                    let site = self.n_ifs as u32;
-                    self.n_ifs += 1;
                     let lconds: Vec<(LinForm, CmpOp, LinForm)> = conds
                         .iter()
                         .map(|c| (self.lin(&c.lhs), c.op, self.lin(&c.rhs)))
@@ -286,13 +275,10 @@ impl<'p> Compiler<'p> {
                     let then = self.nodes(then);
                     out.push(CNode::If {
                         conds: lconds.into_boxed_slice(),
-                        site,
                         then,
                     });
                 }
                 Node::Loop(l) => {
-                    let site = self.n_loops as u32;
-                    self.n_loops += 1;
                     let lb = self.bound(&l.lb);
                     let ub = self.bound(&l.ub);
                     self.slots.push(&l.iter);
@@ -307,7 +293,6 @@ impl<'p> Compiler<'p> {
                         ub_inclusive: l.ub_inclusive,
                         step: l.step,
                         parallel: l.parallel,
-                        site,
                         body,
                     }));
                 }
@@ -336,8 +321,6 @@ impl CompiledProgram {
             ops: Vec::new(),
             accesses: Vec::new(),
             syms: Vec::new(),
-            n_ifs: 0,
-            n_loops: 0,
         };
         let body = c.nodes(&p.body).into_vec();
         CompiledProgram {
@@ -347,24 +330,12 @@ impl CompiledProgram {
             syms: c.syms,
             body,
             n_slots: c.max_slots,
-            n_ifs: c.n_ifs,
-            n_loops: c.n_loops,
         }
     }
 
     /// Array names referenced by the program, in interned-id order.
     pub fn array_names(&self) -> &[String] {
         &self.arrays
-    }
-
-    /// Number of `if` coverage sites.
-    pub fn num_if_sites(&self) -> usize {
-        self.n_ifs
-    }
-
-    /// Number of loop coverage sites.
-    pub fn num_loop_sites(&self) -> usize {
-        self.n_loops
     }
 }
 
@@ -381,8 +352,7 @@ mod tests {
 
     /// Runs `p` as a one-lane batch and through the reference walker on
     /// fresh stores and asserts bit-identical results: the stores (the
-    /// partial ones too, on errors), stats and coverage, or identical
-    /// errors. Returns the shared outcome.
+    /// partial ones too, on errors) and stats, or identical errors. Returns the shared outcome.
     fn assert_engines_agree(p: &Program, cfg: &ExecConfig) -> Result<ExecStats, ExecError> {
         let mut s_ref = ArrayStore::from_program(p);
         let r_ref = run_with_store_reference(p, &mut s_ref, cfg);
@@ -635,7 +605,5 @@ mod tests {
                 .all(|&v| v == fill + 2.0));
         }
         assert_eq!(cp.array_names(), &["A".to_string()]);
-        assert_eq!(cp.num_loop_sites(), 1);
-        assert_eq!(cp.num_if_sites(), 0);
     }
 }

@@ -4,7 +4,6 @@
 //!
 //! * out-of-bounds detection (the pipeline's *runtime error* class),
 //! * a statement budget (the *execution timeout* class),
-//! * branch-coverage collection,
 //! * configurable iteration order for `parallel`-marked loops, so that
 //!   illegally parallelized loops produce genuinely divergent results.
 //!
@@ -12,7 +11,6 @@
 //! the lane engine [`crate::CompiledProgram::run_batched`], every lane of
 //! which is validated differentially against [`run_with_store_reference`].
 
-use crate::coverage::Coverage;
 use crate::store::ArrayStore;
 use looprag_ir::{has_parallel_loop, Expr, Loop, Node, Program, Statement};
 use std::collections::HashMap;
@@ -118,12 +116,10 @@ impl fmt::Display for ExecError {
 impl std::error::Error for ExecError {}
 
 /// Outcome of a successful run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecStats {
     /// Total statement executions.
     pub stmts_executed: u64,
-    /// Branch coverage observed during the run.
-    pub coverage: Coverage,
 }
 
 struct Env {
@@ -147,31 +143,6 @@ struct Interp<'s, 'c> {
     store: &'s mut ArrayStore,
     cfg: &'c ExecConfig,
     executed: u64,
-    coverage: Coverage,
-    if_ids: HashMap<usize, usize>,
-    loop_ids: HashMap<usize, usize>,
-}
-
-fn number_sites(
-    nodes: &[Node],
-    if_ids: &mut HashMap<usize, usize>,
-    loop_ids: &mut HashMap<usize, usize>,
-) {
-    for n in nodes {
-        match n {
-            Node::Loop(l) => {
-                let id = loop_ids.len();
-                loop_ids.insert(n as *const Node as usize, id);
-                number_sites(&l.body, if_ids, loop_ids);
-            }
-            Node::If { then, .. } => {
-                let id = if_ids.len();
-                if_ids.insert(n as *const Node as usize, id);
-                number_sites(then, if_ids, loop_ids);
-            }
-            Node::Stmt(_) => {}
-        }
-    }
 }
 
 impl Interp<'_, '_> {
@@ -255,18 +226,15 @@ impl Interp<'_, '_> {
         Ok(())
     }
 
-    fn exec_loop(&mut self, node_key: usize, l: &Loop) -> Result<(), ExecError> {
+    fn exec_loop(&mut self, l: &Loop) -> Result<(), ExecError> {
         let lb = self.eval_bound(&l.lb)?;
         let mut ub = self.eval_bound(&l.ub)?;
         if !l.ub_inclusive {
             ub -= 1;
         }
-        let site = self.loop_ids[&node_key];
         if ub < lb {
-            self.coverage.loops[site].1 = true;
             return Ok(());
         }
-        self.coverage.loops[site].0 = true;
 
         let order = if l.parallel {
             self.cfg.parallel_order
@@ -326,9 +294,8 @@ impl Interp<'_, '_> {
     fn exec_node(&mut self, n: &Node) -> Result<(), ExecError> {
         match n {
             Node::Stmt(s) => self.exec_stmt(s),
-            Node::Loop(l) => self.exec_loop(n as *const Node as usize, l),
+            Node::Loop(l) => self.exec_loop(l),
             Node::If { conds, then } => {
-                let site = self.if_ids[&(n as *const Node as usize)];
                 let mut taken = true;
                 for c in conds {
                     let env = &self.env;
@@ -339,12 +306,9 @@ impl Interp<'_, '_> {
                     }
                 }
                 if taken {
-                    self.coverage.ifs[site].0 = true;
                     for child in then {
                         self.exec_node(child)?;
                     }
-                } else {
-                    self.coverage.ifs[site].1 = true;
                 }
                 Ok(())
             }
@@ -369,10 +333,6 @@ pub fn run_with_store_reference(
     store: &mut ArrayStore,
     cfg: &ExecConfig,
 ) -> Result<ExecStats, ExecError> {
-    let mut if_ids = HashMap::new();
-    let mut loop_ids = HashMap::new();
-    number_sites(&p.body, &mut if_ids, &mut loop_ids);
-    let coverage = Coverage::with_sites(if_ids.len(), loop_ids.len());
     let mut interp = Interp {
         env: Env {
             params: p.params.iter().map(|d| (d.name.clone(), d.value)).collect(),
@@ -381,16 +341,12 @@ pub fn run_with_store_reference(
         store,
         cfg,
         executed: 0,
-        coverage,
-        if_ids,
-        loop_ids,
     };
     for n in &p.body {
         interp.exec_node(n)?;
     }
     Ok(ExecStats {
         stmts_executed: interp.executed,
-        coverage: interp.coverage,
     })
 }
 
@@ -471,16 +427,18 @@ mod tests {
         ));
     }
 
+    /// The guard is followed both ways: its body runs on the iterations
+    /// that take it and nowhere else, identically in both engines.
     #[test]
     fn coverage_tracks_if_both_ways() {
         let p = program(
             "param N = 4;\narray A[N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) if (i >= 2) A[i] = 1.0;\n#pragma endscop\n",
         );
-        let (_, stats) = run(&p, &ExecConfig::default()).unwrap();
-        assert_eq!(stats.coverage.ifs, vec![(true, true)]);
-        assert_eq!(stats.coverage.loops, vec![(true, false)]);
-        let (_, ref_stats) = run_reference(&p, &ExecConfig::default()).unwrap();
-        assert_eq!(ref_stats.coverage, stats.coverage);
+        let (store, stats) = run(&p, &ExecConfig::default()).unwrap();
+        assert_eq!(stats.stmts_executed, 2);
+        let (ref_store, ref_stats) = run_reference(&p, &ExecConfig::default()).unwrap();
+        assert_eq!(ref_stats, stats);
+        assert_eq!(ref_store, store);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # looprag-exec
 //!
-//! The execution substrate for differential testing, coverage-guided
-//! test selection and the transform oracle: programs are compiled once
+//! The execution substrate for differential testing and the transform
+//! oracle: programs are compiled once
 //! to a bytecode form ([`CompiledProgram`]) and run by one interpreter,
 //! the lane engine ([`CompiledProgram::run_batched`]), which runs many
 //! inputs of one program as the lanes of a [`BatchStore`]. Every lane is
@@ -10,7 +10,7 @@
 //!
 //! Programs are lowered **once** — array names interned to dense ids,
 //! symbols resolved to frame slots, RHS expressions flattened to a
-//! postfix op stream, coverage sites numbered — and the compiled form is
+//! postfix op stream — and the compiled form is
 //! then reused across every input and iteration order. A lane's input is
 //! an [`InputSpec`].
 //!
@@ -39,12 +39,10 @@
 
 mod batch;
 mod compile;
-mod coverage;
 mod interp;
 mod store;
 
 pub use batch::{run, BatchStore};
 pub use compile::CompiledProgram;
-pub use coverage::Coverage;
 pub use interp::{run_with_store_reference, ExecConfig, ExecError, ExecStats, ParallelOrder};
 pub use store::{ArrayData, ArrayStore, InputSpec};

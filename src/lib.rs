@@ -13,7 +13,7 @@
 //! * [`looprag_retrieval`] — BM25 + loop-aware LAScore retrieval
 //! * [`looprag_runtime`] — deterministic worker pool and budgets
 //! * [`looprag_llm`] — prompts and the simulated LLM
-//! * [`looprag_eqcheck`] — mutation/coverage/differential testing
+//! * [`looprag_eqcheck`] — seed test inputs and differential testing
 //! * [`looprag_baselines`] — baseline compiler models
 //! * [`looprag_suites`] — PolyBench/TSVC/LORE kernels
 //! * [`looprag_search`] — legality-guided beam search over recipes
