@@ -14,22 +14,20 @@
 //! ## The lowered walk
 //!
 //! [`analyze_with`] lowers the program once per call, then walks the
-//! lowered form. Lowering interns arrays and loops to dense ids,
-//! resolves each iterator to its slot in the iteration vector by
-//! lexical scope and each parameter to its scaled value, and lowers
-//! every statement's read list once, in `Statement::reads` order. The
-//! walk then does no string hashing and no per-access allocation: each
-//! statement instance allocates its iteration vector once and all its
-//! accesses share it; cells are keyed by `(array id, FNV key)` and edges
-//! by `(src, dst, array id, kind)`, in maps with a fixed hasher. Reads
-//! of arrays that no statement writes are evaluated but not recorded:
-//! such cells can never close an edge.
+//! lowered form. Loop headers, guards and subscripts go through the
+//! shared [`looprag_ir::lower`] lowering at the scaled parameter values;
+//! the tracer adds dense array and loop ids and each statement's read
+//! list, lowered once in `Statement::reads` order. The walk then does no
+//! string hashing and no per-access allocation: each statement instance
+//! allocates its iteration vector once and all its accesses share it;
+//! cells are keyed by `(array id, FNV key)` and edges by `(src, dst,
+//! array id, kind)`, in maps with a fixed hasher. Reads of arrays that
+//! no statement writes are skipped: such cells can never close an edge.
 //!
-//! Expressions evaluate in `AffineExpr::eval`'s order, so overflow
-//! behaves identically, and unbound symbols skip exactly what the
-//! reference skips: an unevaluable bound skips its loop, an unevaluable
-//! subscript its access, an unevaluable guard its body. The instance
-//! budget and `truncated` mean the same in both.
+//! An unevaluable form (an unbound symbol, or a parameter fold that
+//! overflows) is skipped: a bound skips its loop, a subscript its
+//! access, a guard its body, as the reference does for an unbound
+//! symbol. The instance budget and `truncated` mean the same in both.
 //!
 //! ## The reference oracle
 //!
@@ -39,7 +37,8 @@
 //! edges by the total key `(src, dst, array, kind)` and are pinned
 //! equal under exact `==` by `tests/dependence.rs`.
 
-use looprag_ir::{adaptive_sampling_cap, Access, Bound, CmpOp, Node, NodePath, Program, Statement};
+use looprag_ir::lower::{Guard, Lin, LoopBounds, Scope};
+use looprag_ir::{adaptive_sampling_cap, Access, Node, NodePath, Program, Statement};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
@@ -411,64 +410,11 @@ impl Hasher for FxHasher {
 /// forgoes the default hasher's collision resistance for speed.
 type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// A symbol of an affine expression, resolved at lowering time.
-#[derive(Clone, Copy)]
-enum Sym {
-    /// The iterator of an enclosing loop: its slot in the iteration vector.
-    Slot(usize),
-    /// A parameter, at its scaled value.
-    Param(i64),
-    /// Neither; evaluation fails here, as `AffineExpr::eval` does.
-    Unbound,
-}
-
-/// An [`AffineExpr`](looprag_ir::AffineExpr) with resolved symbols,
-/// terms kept in the expression's own (symbol-name) order.
-struct Lin {
-    constant: i64,
-    terms: Box<[(i64, Sym)]>,
-}
-
-impl Lin {
-    /// Same operations in the same order as `AffineExpr::eval`, so an
-    /// overflow panics exactly where the reference's would.
-    fn eval(&self, ivec: &[i64]) -> Option<i64> {
-        let mut acc = self.constant;
-        for &(coeff, sym) in self.terms.iter() {
-            let v = match sym {
-                Sym::Slot(s) => ivec[s],
-                Sym::Param(v) => v,
-                Sym::Unbound => return None,
-            };
-            acc += coeff * v;
-        }
-        Some(acc)
-    }
-}
-
-/// A lowered [`Bound`].
-enum LBound {
-    Affine(Lin),
-    Min(Box<LBound>, Box<LBound>),
-    Max(Box<LBound>, Box<LBound>),
-    FloorDiv(Box<LBound>, i64),
-}
-
-impl LBound {
-    fn eval(&self, ivec: &[i64]) -> Option<i64> {
-        match self {
-            LBound::Affine(e) => e.eval(ivec),
-            LBound::Min(a, b) => Some(a.eval(ivec)?.min(b.eval(ivec)?)),
-            LBound::Max(a, b) => Some(a.eval(ivec)?.max(b.eval(ivec)?)),
-            LBound::FloorDiv(e, c) => Some(e.eval(ivec)?.div_euclid(*c)),
-        }
-    }
-}
-
 /// A lowered [`Access`]: an interned array and resolved subscripts.
 struct LAccess {
     array: u32,
-    indexes: Box<[Lin]>,
+    /// `None` when a subscript is unevaluable: the access is skipped.
+    indexes: Option<Box<[Lin]>>,
     /// For a read: whether any statement writes the array. Cells of a
     /// read-only array can never close an edge, so such reads are not
     /// recorded.
@@ -480,8 +426,8 @@ impl LAccess {
     /// Only cell identity matters, so out-of-range indexes are fine.
     fn key(&self, ivec: &[i64]) -> Option<(u32, u64)> {
         let mut key = 1469598103934665603u64; // FNV offset
-        for e in self.indexes.iter() {
-            key ^= e.eval(ivec)? as u64;
+        for e in self.indexes.as_deref()? {
+            key ^= e.eval(ivec) as u64;
             key = key.wrapping_mul(1099511628211);
         }
         Some((self.array, key))
@@ -501,17 +447,16 @@ struct Site {
 enum Op {
     Loop(Box<LoopOp>),
     If {
-        conds: Box<[(Lin, CmpOp, Lin)]>,
+        /// `None` for an unevaluable condition: the guard fails.
+        conds: Box<[Option<Guard>]>,
         then: Box<[Op]>,
     },
     Stmt(u32),
 }
 
 struct LoopOp {
-    lb: LBound,
-    ub: LBound,
-    ub_inclusive: bool,
-    step: i64,
+    /// `None` when a bound is unevaluable: the loop is skipped.
+    bounds: Option<LoopBounds>,
     body: Box<[Op]>,
 }
 
@@ -525,9 +470,7 @@ struct Lowered {
 }
 
 struct Lowerer<'p> {
-    params: HashMap<String, i64>,
-    /// Iterator names of the enclosing loops; index = slot.
-    scope: Vec<&'p str>,
+    scope: Scope<'p>,
     /// Ids of the enclosing loops.
     loops: Vec<u32>,
     path: NodePath,
@@ -536,33 +479,6 @@ struct Lowerer<'p> {
 }
 
 impl<'p> Lowerer<'p> {
-    /// Innermost iterator of that name, else a parameter, else unbound:
-    /// the reference's lookup order, decided once by lexical scope.
-    fn resolve(&self, sym: &str) -> Sym {
-        if let Some(slot) = self.scope.iter().rposition(|n| *n == sym) {
-            return Sym::Slot(slot);
-        }
-        self.params
-            .get(sym)
-            .map_or(Sym::Unbound, |v| Sym::Param(*v))
-    }
-
-    fn lin(&self, e: &looprag_ir::AffineExpr) -> Lin {
-        Lin {
-            constant: e.constant_term(),
-            terms: e.iter_terms().map(|(s, c)| (c, self.resolve(s))).collect(),
-        }
-    }
-
-    fn bound(&self, b: &Bound) -> LBound {
-        match b {
-            Bound::Affine(e) => LBound::Affine(self.lin(e)),
-            Bound::Min(a, b) => LBound::Min(Box::new(self.bound(a)), Box::new(self.bound(b))),
-            Bound::Max(a, b) => LBound::Max(Box::new(self.bound(a)), Box::new(self.bound(b))),
-            Bound::FloorDiv(e, c) => LBound::FloorDiv(Box::new(self.bound(e)), *c),
-        }
-    }
-
     fn access(&mut self, a: &'p Access) -> LAccess {
         let next = self.array_ids.len() as u32;
         let array = *self.array_ids.entry(a.array.as_str()).or_insert_with(|| {
@@ -571,7 +487,7 @@ impl<'p> Lowerer<'p> {
         });
         LAccess {
             array,
-            indexes: a.indexes.iter().map(|e| self.lin(e)).collect(),
+            indexes: self.scope.subscripts(a).ok(),
             written: false,
         }
     }
@@ -600,26 +516,17 @@ impl<'p> Lowerer<'p> {
                 Node::Stmt(s) => Op::Stmt(self.site(s)),
                 Node::Loop(l) => {
                     // Bounds are evaluated outside the loop's own scope.
-                    let (lb, ub) = (self.bound(&l.lb), self.bound(&l.ub));
+                    let bounds = self.scope.loop_bounds(l).ok();
                     self.loops.push(self.out.loop_paths.len() as u32);
                     self.out.loop_paths.push(self.path.clone());
                     self.scope.push(&l.iter);
                     let body = self.nodes(&l.body);
                     self.scope.pop();
                     self.loops.pop();
-                    Op::Loop(Box::new(LoopOp {
-                        lb,
-                        ub,
-                        ub_inclusive: l.ub_inclusive,
-                        step: l.step,
-                        body,
-                    }))
+                    Op::Loop(Box::new(LoopOp { bounds, body }))
                 }
                 Node::If { conds, then } => Op::If {
-                    conds: conds
-                        .iter()
-                        .map(|c| (self.lin(&c.lhs), c.op, self.lin(&c.rhs)))
-                        .collect(),
+                    conds: conds.iter().map(|c| self.scope.cond(c).ok()).collect(),
                     then: self.nodes(then),
                 },
             });
@@ -630,10 +537,10 @@ impl<'p> Lowerer<'p> {
 }
 
 impl Lowered {
-    fn new(p: &Program, params: HashMap<String, i64>) -> Lowered {
+    fn new(p: &Program, params: &HashMap<String, i64>) -> Lowered {
+        let env = |s: &str| params.get(s).copied();
         let mut l = Lowerer {
-            params,
-            scope: Vec::new(),
+            scope: Scope::new(&env),
             loops: Vec::new(),
             path: Vec::new(),
             array_ids: HashMap::new(),
@@ -760,14 +667,12 @@ impl Walk<'_> {
         let mut inst: Option<Inst> = None;
         // Reads first (evaluation order), then the write.
         for r in site.reads.iter() {
-            // The key is evaluated even when unrecorded, so an overflow
-            // panics just as in the reference.
-            let Some(key) = r.key(&self.ivec) else {
-                continue;
-            };
             if !r.written {
                 continue;
             }
+            let Some(key) = r.key(&self.ivec) else {
+                continue;
+            };
             let inst = inst.get_or_insert_with(|| Inst {
                 site: idx,
                 ivec: self.ivec.as_slice().into(),
@@ -805,15 +710,10 @@ impl Walk<'_> {
     }
 
     fn visit_loop(&mut self, l: &LoopOp) -> bool {
-        let Some(lb) = l.lb.eval(&self.ivec) else {
+        let Some(b) = &l.bounds else {
             return true;
         };
-        let Some(mut ub) = l.ub.eval(&self.ivec) else {
-            return true;
-        };
-        if !l.ub_inclusive {
-            ub -= 1;
-        }
+        let (lb, ub) = (b.lb.eval(&self.ivec), b.ub.eval(&self.ivec));
         let slot = self.ivec.len();
         self.ivec.push(0);
         let mut ok = true;
@@ -824,7 +724,7 @@ impl Walk<'_> {
                 ok = false;
                 break;
             }
-            v += l.step;
+            v += b.step;
         }
         self.ivec.pop();
         ok
@@ -836,10 +736,10 @@ impl Walk<'_> {
                 Op::Stmt(site) => self.visit_stmt(*site),
                 Op::Loop(l) => self.visit_loop(l),
                 Op::If { conds, then } => {
-                    let holds = conds.iter().all(|(lhs, cmp, rhs)| {
-                        lhs.eval(&self.ivec)
-                            .and_then(|a| Some(cmp.eval(a, rhs.eval(&self.ivec)?)))
-                            == Some(true)
+                    let holds = conds.iter().all(|c| {
+                        c.as_ref().is_some_and(|(lhs, cmp, rhs)| {
+                            cmp.eval(lhs.eval(&self.ivec), rhs.eval(&self.ivec))
+                        })
                     });
                     !holds || self.visit(then)
                 }
@@ -869,7 +769,7 @@ pub fn analyze_for(p: &Program, purpose: Purpose) -> DependenceSet {
 /// Each call bumps the `dependence.analyses` and
 /// `dependence.instances_traced` registry counters once.
 pub fn analyze_with(p: &Program, cfg: &AnalysisConfig) -> DependenceSet {
-    let lowered = Lowered::new(p, scaled_params(p, cfg.param_cap));
+    let lowered = Lowered::new(p, &scaled_params(p, cfg.param_cap));
     let mut walk = Walk {
         sites: &lowered.sites,
         ivec: Vec::new(),

@@ -179,6 +179,8 @@ impl Tracer {
                     if !l.ub_inclusive {
                         ub -= 1;
                     }
+                    // A non-positive step runs once, at the lower bound.
+                    let (ub, step) = (if l.step > 0 { ub } else { ub.min(lb) }, l.step.max(1));
                     let mut ok = true;
                     self.iters.push((l.iter.clone(), 0));
                     self.loop_stack.push((path.clone(), 0));
@@ -190,7 +192,7 @@ impl Tracer {
                             ok = false;
                             break;
                         }
-                        v += l.step;
+                        v += step;
                     }
                     self.loop_stack.pop();
                     self.iters.pop();

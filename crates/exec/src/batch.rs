@@ -407,13 +407,12 @@ impl<'c> BatchMachine<'c, '_> {
     /// Evaluates an access's subscripts and bounds-checks them, returning
     /// `(store_index, flat_element_index)` — shared by all lanes.
     fn resolve(&mut self, acc: &'c CAccess, stmt: usize) -> Result<(usize, usize), Halt> {
+        let dims = match &acc.dims {
+            Ok(dims) => dims,
+            Err(e) => return Err(self.halt_all(e.into())),
+        };
         self.dims.clear();
-        for d in acc.dims.iter() {
-            match d.eval(&self.frame) {
-                Ok(v) => self.dims.push(v),
-                Err(e) => return Err(self.halt_all(e)),
-            }
-        }
+        self.dims.extend(dims.iter().map(|d| d.eval(&self.frame)));
         let Some(idx) = self.store_idx[acc.array as usize] else {
             let e = ExecError::Unbound(self.cp.arrays[acc.array as usize].clone());
             return Err(self.halt_all(e));
@@ -602,25 +601,13 @@ impl<'c> BatchMachine<'c, '_> {
     }
 
     fn exec_loop(&mut self, l: &'c CLoop) -> Result<(), Halt> {
-        let lb = match l.lb.eval(&self.frame) {
-            Ok(v) => v,
-            Err(e) => return Err(self.halt_all(e)),
+        let b = match &l.bounds {
+            Ok(b) => b,
+            Err(e) => return Err(self.halt_all(e.into())),
         };
-        let mut ub = match l.ub.eval(&self.frame) {
-            Ok(v) => v,
-            Err(e) => return Err(self.halt_all(e)),
-        };
-        if !l.ub_inclusive {
-            ub -= 1;
-        }
+        let (lb, ub, step) = (b.lb.eval(&self.frame), b.ub.eval(&self.frame), b.step);
         if ub < lb {
             return Ok(());
-        }
-        let step = l.step;
-        // Degenerate steps: one iteration at the lower bound, matching
-        // the reference walker.
-        if step <= 0 {
-            return self.iteration(l, lb);
         }
         let order = if l.parallel {
             self.order
@@ -669,16 +656,12 @@ impl<'c> BatchMachine<'c, '_> {
             CNode::Loop(l) => self.exec_loop(l),
             CNode::If { conds, then } => {
                 let mut taken = true;
-                for (lhs, op, rhs) in conds.iter() {
-                    let a = match lhs.eval(&self.frame) {
-                        Ok(v) => v,
-                        Err(e) => return Err(self.halt_all(e)),
+                for cond in conds.iter() {
+                    let (lhs, op, rhs) = match cond {
+                        Ok(c) => c,
+                        Err(e) => return Err(self.halt_all(e.into())),
                     };
-                    let b = match rhs.eval(&self.frame) {
-                        Ok(v) => v,
-                        Err(e) => return Err(self.halt_all(e)),
-                    };
-                    if !op.eval(a, b) {
+                    if !op.eval(lhs.eval(&self.frame), rhs.eval(&self.frame)) {
                         taken = false;
                         break;
                     }

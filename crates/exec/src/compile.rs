@@ -4,14 +4,19 @@
 //! hot loop can execute with no string hashing, no per-node `match` over
 //! owned expression trees, and no per-iteration allocation:
 //!
+//! * loop headers, `if` guards and subscripts go through the shared
+//!   [`looprag_ir::lower`] lowering: iterators resolve to frame slots,
+//!   parameters fold into constants, and each loop becomes an inclusive
+//!   range with a positive step;
 //! * array names are interned to dense ids and resolved to store indexes
 //!   once per run;
-//! * every `Sym` and iterator reference is resolved to a frame-slot
-//!   index (parameters fold to constants at compile time);
 //! * statement right-hand sides become a flat postfix op stream
-//!   evaluated over a reusable value stack;
-//! * affine loop bounds and `if` guards become slot-coefficient vectors
-//!   ([`LinForm`]).
+//!   evaluated over a reusable value stack.
+//!
+//! A form that lowering finds unevaluable (an unbound symbol, or a
+//! parameter fold that overflows) is kept with its reason and raised as
+//! an [`ExecError`](crate::ExecError) only if execution reaches it, so
+//! dead code behaves exactly as under the reference walker.
 //!
 //! The compiled form is immutable and reusable: differential testing
 //! compiles the original and the candidate once and runs the same
@@ -21,61 +26,16 @@
 //! validated against the reference tree-walker
 //! ([`crate::run_with_store_reference`]) by differential self-tests.
 
-use crate::interp::ExecError;
-use looprag_ir::{AssignOp, BinOp, Bound, CmpOp, Expr, MathFn, Node, Program, Statement};
+use looprag_ir::lower::{Guard, Lin, LoopBounds, Scope, Symbol, Unevaluable};
+use looprag_ir::{AssignOp, BinOp, Expr, MathFn, Node, Program, Statement};
 use std::collections::HashMap;
 
-/// A linear form `constant + sum(coeff * frame[slot])` with parameters
-/// folded into the constant. Symbols that were unbound at compile time
-/// are kept by name and reported only if the form is ever evaluated, so
-/// dead code behaves exactly as under the reference walker.
-#[derive(Debug, Clone)]
-pub(crate) struct LinForm {
-    constant: i64,
-    terms: Box<[(u16, i64)]>,
-    unbound: Option<Box<str>>,
-}
-
-impl LinForm {
-    #[inline]
-    pub(crate) fn eval(&self, frame: &[i64]) -> Result<i64, ExecError> {
-        if let Some(s) = &self.unbound {
-            return Err(ExecError::Unbound(s.to_string()));
-        }
-        let mut acc = self.constant;
-        for &(slot, coeff) in self.terms.iter() {
-            acc += coeff * frame[slot as usize];
-        }
-        Ok(acc)
-    }
-}
-
-/// A lowered loop bound: [`Bound`] with [`LinForm`] leaves.
-#[derive(Debug, Clone)]
-pub(crate) enum CBound {
-    Lin(LinForm),
-    Min(Box<CBound>, Box<CBound>),
-    Max(Box<CBound>, Box<CBound>),
-    FloorDiv(Box<CBound>, i64),
-}
-
-impl CBound {
-    pub(crate) fn eval(&self, frame: &[i64]) -> Result<i64, ExecError> {
-        match self {
-            CBound::Lin(f) => f.eval(frame),
-            CBound::Min(a, b) => Ok(a.eval(frame)?.min(b.eval(frame)?)),
-            CBound::Max(a, b) => Ok(a.eval(frame)?.max(b.eval(frame)?)),
-            CBound::FloorDiv(e, c) => Ok(e.eval(frame)?.div_euclid(*c)),
-        }
-    }
-}
-
 /// A lowered access: interned array id plus one linear form per
-/// subscript dimension.
+/// subscript dimension (`Err`: raised when the access is evaluated).
 #[derive(Debug, Clone)]
 pub(crate) struct CAccess {
     pub(crate) array: u32,
-    pub(crate) dims: Box<[LinForm]>,
+    pub(crate) dims: Result<Box<[Lin]>, Unevaluable>,
 }
 
 /// One postfix instruction of a statement's RHS stream.
@@ -110,10 +70,7 @@ pub(crate) struct CStmt {
 #[derive(Debug, Clone)]
 pub(crate) struct CLoop {
     pub(crate) slot: u16,
-    pub(crate) lb: CBound,
-    pub(crate) ub: CBound,
-    pub(crate) ub_inclusive: bool,
-    pub(crate) step: i64,
+    pub(crate) bounds: Result<LoopBounds, Unevaluable>,
     pub(crate) parallel: bool,
     pub(crate) body: Box<[CNode]>,
 }
@@ -123,7 +80,7 @@ pub(crate) enum CNode {
     Stmt(CStmt),
     Loop(CLoop),
     If {
-        conds: Box<[(LinForm, CmpOp, LinForm)]>,
+        conds: Box<[Result<Guard, Unevaluable>]>,
         then: Box<[CNode]>,
     },
 }
@@ -141,9 +98,7 @@ pub struct CompiledProgram {
 }
 
 struct Compiler<'p> {
-    params: HashMap<&'p str, i64>,
-    slots: Vec<&'p str>,
-    max_slots: usize,
+    scope: Scope<'p>,
     arrays: Vec<String>,
     array_ids: HashMap<&'p str, u32>,
     ops: Vec<Op>,
@@ -170,44 +125,10 @@ impl<'p> Compiler<'p> {
         (self.syms.len() - 1) as u32
     }
 
-    fn lin(&mut self, e: &looprag_ir::AffineExpr) -> LinForm {
-        let mut constant = e.constant_term();
-        let mut terms = Vec::new();
-        let mut unbound = None;
-        // Terms iterate in sorted symbol order, matching the order in
-        // which `AffineExpr::eval` would report an unbound symbol.
-        for (sym, coeff) in e.iter_terms() {
-            if let Some(slot) = self.slots.iter().rposition(|s| *s == sym) {
-                terms.push((slot as u16, coeff));
-            } else if let Some(v) = self.params.get(sym) {
-                constant += coeff * v;
-            } else if unbound.is_none() {
-                unbound = Some(sym.into());
-            }
-        }
-        LinForm {
-            constant,
-            terms: terms.into_boxed_slice(),
-            unbound,
-        }
-    }
-
-    fn bound(&mut self, b: &Bound) -> CBound {
-        match b {
-            Bound::Affine(e) => CBound::Lin(self.lin(e)),
-            Bound::Min(a, c) => CBound::Min(Box::new(self.bound(a)), Box::new(self.bound(c))),
-            Bound::Max(a, c) => CBound::Max(Box::new(self.bound(a)), Box::new(self.bound(c))),
-            Bound::FloorDiv(e, c) => CBound::FloorDiv(Box::new(self.bound(e)), *c),
-        }
-    }
-
     fn access(&mut self, a: &'p looprag_ir::Access) -> u32 {
         let array = self.intern_array(&a.array);
-        let dims: Vec<LinForm> = a.indexes.iter().map(|e| self.lin(e)).collect();
-        self.accesses.push(CAccess {
-            array,
-            dims: dims.into_boxed_slice(),
-        });
+        let dims = self.scope.subscripts(a);
+        self.accesses.push(CAccess { array, dims });
         (self.accesses.len() - 1) as u32
     }
 
@@ -222,14 +143,12 @@ impl<'p> Compiler<'p> {
                 self.ops.push(Op::Load(id));
             }
             Expr::Sym(s) => {
-                if let Some(slot) = self.slots.iter().rposition(|x| *x == s.as_str()) {
-                    self.ops.push(Op::Slot(slot as u16));
-                } else if let Some(v) = self.params.get(s.as_str()) {
-                    self.ops.push(Op::Const(*v as f64));
-                } else {
-                    let id = self.intern_sym(s);
-                    self.ops.push(Op::UnboundSym(id));
-                }
+                let op = match self.scope.resolve(s) {
+                    Symbol::Iter(slot) => Op::Slot(slot as u16),
+                    Symbol::Param(v) => Op::Const(v as f64),
+                    Symbol::Unbound => Op::UnboundSym(self.intern_sym(s)),
+                };
+                self.ops.push(op);
             }
             Expr::Neg(inner) => {
                 self.expr(inner);
@@ -268,30 +187,18 @@ impl<'p> Compiler<'p> {
             match n {
                 Node::Stmt(s) => out.push(CNode::Stmt(self.stmt(s))),
                 Node::If { conds, then } => {
-                    let lconds: Vec<(LinForm, CmpOp, LinForm)> = conds
-                        .iter()
-                        .map(|c| (self.lin(&c.lhs), c.op, self.lin(&c.rhs)))
-                        .collect();
+                    let conds = conds.iter().map(|c| self.scope.cond(c)).collect();
                     let then = self.nodes(then);
-                    out.push(CNode::If {
-                        conds: lconds.into_boxed_slice(),
-                        then,
-                    });
+                    out.push(CNode::If { conds, then });
                 }
                 Node::Loop(l) => {
-                    let lb = self.bound(&l.lb);
-                    let ub = self.bound(&l.ub);
-                    self.slots.push(&l.iter);
-                    self.max_slots = self.max_slots.max(self.slots.len());
-                    let slot = (self.slots.len() - 1) as u16;
+                    let bounds = self.scope.loop_bounds(l);
+                    let slot = self.scope.push(&l.iter) as u16;
                     let body = self.nodes(&l.body);
-                    self.slots.pop();
+                    self.scope.pop();
                     out.push(CNode::Loop(CLoop {
                         slot,
-                        lb,
-                        ub,
-                        ub_inclusive: l.ub_inclusive,
-                        step: l.step,
+                        bounds,
                         parallel: l.parallel,
                         body,
                     }));
@@ -303,19 +210,18 @@ impl<'p> Compiler<'p> {
 }
 
 impl CompiledProgram {
-    /// Lowers `p` to the bytecode form. Infallible: symbols that cannot
-    /// be resolved compile to poison ops that reproduce the reference
-    /// walker's runtime [`ExecError::Unbound`] if (and only if) they are
-    /// actually executed.
+    /// Lowers `p` to the bytecode form. Infallible: unevaluable forms
+    /// compile to poison that raises [`ExecError::Unbound`](crate::ExecError::Unbound) or
+    /// [`ExecError::Overflow`](crate::ExecError::Overflow) if (and only if) it is actually executed.
     pub fn compile(p: &Program) -> CompiledProgram {
+        let params: HashMap<&str, i64> = p
+            .params
+            .iter()
+            .map(|d| (d.name.as_str(), d.value))
+            .collect();
+        let env = |s: &str| params.get(s).copied();
         let mut c = Compiler {
-            params: p
-                .params
-                .iter()
-                .map(|d| (d.name.as_str(), d.value))
-                .collect(),
-            slots: Vec::new(),
-            max_slots: 0,
+            scope: Scope::new(&env),
             arrays: Vec::new(),
             array_ids: HashMap::new(),
             ops: Vec::new(),
@@ -329,7 +235,7 @@ impl CompiledProgram {
             accesses: c.accesses,
             syms: c.syms,
             body,
-            n_slots: c.max_slots,
+            n_slots: p.max_depth(),
         }
     }
 
@@ -342,7 +248,9 @@ impl CompiledProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{run_with_store_reference, ExecConfig, ExecStats, ParallelOrder};
+    use crate::interp::{
+        run_with_store_reference, ExecConfig, ExecError, ExecStats, ParallelOrder,
+    };
     use crate::{run, ArrayStore, BatchStore};
     use looprag_ir::{compile as compile_src, InitKind};
 

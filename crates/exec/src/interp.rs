@@ -12,6 +12,7 @@
 //! which is validated differentially against [`run_with_store_reference`].
 
 use crate::store::ArrayStore;
+use looprag_ir::lower::Unevaluable;
 use looprag_ir::{has_parallel_loop, Expr, Loop, Node, Program, Statement};
 use std::collections::HashMap;
 use std::fmt;
@@ -92,6 +93,18 @@ pub enum ExecError {
     /// A bound or subscript referenced an unbound symbol (programs that
     /// pass [`looprag_ir::validate`] never hit this).
     Unbound(String),
+    /// Folding the parameters of this affine expression (a bound, guard
+    /// or subscript) overflows `i64`.
+    Overflow(String),
+}
+
+impl From<&Unevaluable> for ExecError {
+    fn from(e: &Unevaluable) -> ExecError {
+        match e {
+            Unevaluable::Unbound(s) => ExecError::Unbound(s.clone()),
+            Unevaluable::Overflow(s) => ExecError::Overflow(s.clone()),
+        }
+    }
 }
 
 impl fmt::Display for ExecError {
@@ -109,6 +122,7 @@ impl fmt::Display for ExecError {
                 write!(f, "execution timeout: statement budget of {budget} exhausted")
             }
             ExecError::Unbound(s) => write!(f, "unbound symbol '{s}' at runtime"),
+            ExecError::Overflow(e) => write!(f, "parameters overflow i64 in '{e}' at runtime"),
         }
     }
 }

@@ -3,7 +3,7 @@
 //! The SCoP intermediate representation underlying the LOOPRAG
 //! reproduction: affine expressions, loop-nest trees, statements, whole
 //! programs, a C-subset parser and pretty-printer, 2d+1 schedule
-//! derivation and semantic validation.
+//! derivation, semantic validation, and the walkers' lowering ([`lower`]).
 //!
 //! A *Static Control Part* (SCoP) is a program region in which all loop
 //! bounds, conditionals and array subscripts are affine functions of
@@ -35,6 +35,7 @@
 
 mod expr;
 mod lexer;
+pub mod lower;
 mod parser;
 mod printer;
 mod program;
@@ -46,8 +47,9 @@ pub use lexer::{lex, LexError, Pos, Tok, Token};
 pub use parser::{parse_program, ParseError};
 pub use printer::{print_program, print_scop};
 pub use program::{
-    adaptive_sampling_cap, checked_elements, has_parallel_loop, loop_paths, max_floordiv_divisor,
-    node_at, node_at_mut, ArrayDecl, InitKind, Loop, Node, NodePath, ParamDecl, Program, Statement,
+    adaptive_sampling_cap, checked_elements, element_stride, has_parallel_loop, loop_paths,
+    max_floordiv_divisor, node_at, node_at_mut, ArrayDecl, InitKind, Loop, Node, NodePath,
+    ParamDecl, Program, Statement,
 };
 pub use schedule::{padded_schedules, schedules, SchedEntry, Schedule2d1};
 pub use validate::{compile, validate, CompileError, Diag};

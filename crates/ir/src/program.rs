@@ -245,6 +245,32 @@ impl ArrayDecl {
     pub fn extents(&self, env: &dyn Fn(&str) -> Option<i64>) -> Result<Vec<i64>, String> {
         self.dims.iter().map(|d| d.eval(env)).collect()
     }
+
+    /// Extents for address layout and stride arithmetic: each dimension
+    /// folded under `env` by the checked rule of [`crate::lower`], an
+    /// unbound or non-positive extent read as 1. `None` when a fold
+    /// overflows.
+    pub fn layout_extents(&self, env: &dyn Fn(&str) -> Option<i64>) -> Option<Vec<i64>> {
+        let scope = crate::lower::Scope::new(env);
+        let extent = |d| match scope.lin(d) {
+            Ok(f) => Some(f.constant.max(1)),
+            Err(crate::lower::Unevaluable::Unbound(_)) => Some(1),
+            Err(crate::lower::Unevaluable::Overflow(_)) => None,
+        };
+        self.dims.iter().map(extent).collect()
+    }
+}
+
+/// The element stride of `acc` along iterator `iter` under row-major
+/// `extents`: the change in its flat index per unit step of `iter`.
+/// `None` when that overflows `i64`.
+pub fn element_stride(acc: &Access, iter: &str, extents: &[i64]) -> Option<i64> {
+    let (mut stride, mut row) = (0i64, 1i64);
+    for (dim, ext) in acc.indexes.iter().zip(extents).rev() {
+        stride = stride.checked_add(dim.coeff(iter).checked_mul(row)?)?;
+        row = row.checked_mul(*ext)?;
+    }
+    Some(stride)
 }
 
 /// The number of `f64` elements that `copies` row-major copies of an

@@ -15,7 +15,8 @@ use crate::profile::LlmProfile;
 use crate::prompt::{Feedback, Prompt};
 use looprag_dependence::{analyze_for, Purpose};
 use looprag_ir::{
-    loop_paths, node_at, parse_program, print_program, Bound, Node, NodePath, Program,
+    element_stride, loop_paths, node_at, parse_program, print_program, Bound, Node, NodePath,
+    Program,
 };
 use looprag_retrieval::{extract_features, weighted_score, LaWeights};
 use looprag_transform::{perfect_band, semantics_preserving, Family, OracleConfig, Step};
@@ -507,21 +508,14 @@ fn stride_gain(p: &Program, path: &NodePath, outer: &str, inner: &str) -> bool {
             let Some(decl) = p.array(&a.array) else {
                 continue;
             };
-            let extents: Vec<i64> = decl
-                .dims
-                .iter()
-                .map(|d| d.eval(&env).unwrap_or(1).max(1))
-                .collect();
+            let extents = decl.layout_extents(&env);
             for (name, score) in [(outer, &mut outer_score), (inner, &mut inner_score)] {
-                let mut stride = 0i64;
-                let mut row = 1i64;
-                for (dim, ext) in a.indexes.iter().zip(&extents).rev() {
-                    stride += dim.coeff(name) * row;
-                    row *= ext;
-                }
-                *score += match stride.abs() {
-                    0 => 1,
-                    1 => 2,
+                *score += match extents
+                    .as_ref()
+                    .and_then(|ext| element_stride(&a, name, ext))
+                {
+                    Some(0) => 1,
+                    Some(-1 | 1) => 2,
                     _ => -1,
                 };
             }

@@ -85,6 +85,7 @@ use crate::model::{
     lower_for_cost, CostError, CostReport, CostVec, LAccess, LNode, LeafShape, MachineConfig,
 };
 use looprag_dependence::{analyze_for, DependenceSet, Purpose};
+use looprag_ir::lower::LoopBounds;
 use looprag_ir::{has_parallel_loop, print_program, Node, Program};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -275,10 +276,7 @@ impl<'a> MemoModel<'a> {
             }
             LNode::Loop {
                 slot,
-                lb,
-                ub,
-                inclusive,
-                step,
+                bounds: LoopBounds { lb, ub, step },
                 parallel,
                 vec_factor,
                 header_ovh,
@@ -287,10 +285,7 @@ impl<'a> MemoModel<'a> {
                 body,
             } => {
                 let lbv = lb.eval(&self.iters);
-                let mut ubv = ub.eval(&self.iters);
-                if !inclusive {
-                    ubv -= 1;
-                }
+                let ubv = ub.eval(&self.iters);
                 let header = *header_ovh as f64;
                 let mut cost = CostVec::default();
                 cost.ovh += header;

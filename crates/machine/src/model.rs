@@ -26,13 +26,15 @@
 //! ([`Hierarchy`] / [`CacheLevel`](crate::CacheLevel), which nothing
 //! else in the cost path uses any more). The production entry point is
 //! [`crate::estimate_cost`], the [`crate::CostEngine`]-backed path that
-//! is pinned bit-for-bit against this one. Lowering is shared and lives
-//! here; the memoizing walker and its flat cache simulator live in
-//! `engine` and `flat_cache`, so the pin cross-checks both simulators.
+//! is pinned bit-for-bit against this one. Both walk one lowered form,
+//! built here on top of the shared [`looprag_ir::lower`] lowering; the
+//! memoizing walker and its flat cache simulator live in `engine` and
+//! `flat_cache`, so the pin cross-checks both simulators.
 
 use crate::cache::{CacheGeometry, Hierarchy, ServiceLevel};
 use looprag_dependence::{analyze_for, DependenceSet, Purpose};
-use looprag_ir::{loop_paths, node_at, Bound, Node, Program};
+use looprag_ir::lower::{Guard, Lin, LoopBounds, Scope, Unevaluable};
+use looprag_ir::{element_stride, loop_paths, node_at, Bound, Node, Program};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -293,67 +295,19 @@ struct VecInfo {
 }
 
 // ---------------------------------------------------------------------
-// Lowered cost IR: symbols resolved to iterator stack slots, parameters
-// folded into constants, and subscripts collapsed into a single linear
-// form per access. This keeps the hot simulation loop free of string
-// hashing and map lookups. `pub(crate)` — the memoizing engine walks
-// the exact same lowered tree, so the two paths cannot diverge on what
-// they simulate.
+// Lowered cost IR: the shared `looprag_ir::lower` forms (a program with
+// an unevaluable one is rejected here) plus what only the cost walk
+// needs: byte bases, linearized subscripts, leaf shapes, vector factors
+// and `body_invariant`. `pub(crate)` — the memoizing engine walks the
+// exact same lowered tree, so the two paths cannot diverge on what they
+// simulate.
 // ---------------------------------------------------------------------
 
-/// A linear form `constant + sum(coeff * iters[slot])`.
-#[derive(Debug, Clone)]
-pub(crate) struct LinForm {
-    pub(crate) constant: i64,
-    pub(crate) terms: Vec<(usize, i64)>,
-}
-
-impl LinForm {
-    #[inline]
-    pub(crate) fn eval(&self, iters: &[i64]) -> i64 {
-        let mut acc = self.constant;
-        for (slot, coeff) in &self.terms {
-            acc += coeff * iters[*slot];
-        }
-        acc
-    }
-
-    /// [`LinForm::eval`] in arithmetic modulo 2^64: equal to it whenever
-    /// it does not overflow, and to its release-build wraparound when it
-    /// does.
-    #[inline]
-    pub(crate) fn eval_wrapping(&self, iters: &[i64]) -> i64 {
-        self.terms.iter().fold(self.constant, |acc, (slot, coeff)| {
-            acc.wrapping_add(coeff.wrapping_mul(iters[*slot]))
-        })
-    }
-
-    /// The coefficient of iterator `slot` (0 when the form does not
-    /// reference it). Subscript forms hold one term per slot.
-    fn coeff(&self, slot: usize) -> i64 {
-        self.terms
-            .iter()
-            .find(|(s, _)| *s == slot)
-            .map_or(0, |(_, c)| *c)
-    }
-}
-
-/// A lowered loop bound.
-#[derive(Debug, Clone)]
-pub(crate) enum LBound {
-    Lin(LinForm),
-    Min(Box<LBound>, Box<LBound>),
-    Max(Box<LBound>, Box<LBound>),
-    FloorDiv(Box<LBound>, i64),
-}
-
-impl LBound {
-    pub(crate) fn eval(&self, iters: &[i64]) -> i64 {
-        match self {
-            LBound::Lin(f) => f.eval(iters),
-            LBound::Min(a, b) => a.eval(iters).min(b.eval(iters)),
-            LBound::Max(a, b) => a.eval(iters).max(b.eval(iters)),
-            LBound::FloorDiv(e, c) => e.eval(iters).div_euclid(*c),
+impl From<Unevaluable> for CostError {
+    fn from(e: Unevaluable) -> CostError {
+        match e {
+            Unevaluable::Unbound(s) => CostError::Unbound(s),
+            Unevaluable::Overflow(e) => CostError::Overflow(format!("the expression '{e}'")),
         }
     }
 }
@@ -363,7 +317,7 @@ impl LBound {
 #[derive(Debug, Clone)]
 pub(crate) struct LAccess {
     pub(crate) base: u64,
-    pub(crate) linear: LinForm,
+    pub(crate) linear: Lin,
     pub(crate) max_flat: i64,
 }
 
@@ -386,18 +340,11 @@ pub(crate) struct LeafShape {
     pub(crate) accesses: Vec<(LAccess, i64)>,
 }
 
-/// The [`LeafShape`] of a loop over `slot` with `step` and per-trip
-/// header charge `header_ovh`, whose lowered body is `body`. `None`
-/// unless the body is a non-empty list of statements, the step is
-/// positive and the ALU sum fits a `u64`.
-fn leaf_shape(
-    body: &[LNode],
-    slot: usize,
-    step: i64,
-    header_ovh: u64,
-    max_lat: u64,
-) -> Option<LeafShape> {
-    if step <= 0 || body.is_empty() {
+/// The [`LeafShape`] of a loop over `slot` with per-trip header charge
+/// `header_ovh`, whose lowered body is `body`. `None` unless the body
+/// is a non-empty list of statements and the ALU sum fits a `u64`.
+fn leaf_shape(body: &[LNode], slot: usize, header_ovh: u64, max_lat: u64) -> Option<LeafShape> {
+    if body.is_empty() {
         return None;
     }
     let mut shape = LeafShape {
@@ -429,10 +376,7 @@ fn leaf_shape(
 pub(crate) enum LNode {
     Loop {
         slot: usize,
-        lb: LBound,
-        ub: LBound,
-        inclusive: bool,
-        step: i64,
+        bounds: LoopBounds,
         parallel: bool,
         vec_factor: Option<f64>,
         header_ovh: u64,
@@ -449,7 +393,7 @@ pub(crate) enum LNode {
         body: Vec<LNode>,
     },
     If {
-        conds: Vec<(LinForm, looprag_ir::CmpOp, LinForm)>,
+        conds: Vec<Guard>,
         then: Vec<LNode>,
     },
     Stmt {
@@ -463,40 +407,25 @@ pub(crate) enum LNode {
 /// bound. Nested loops occupy strictly higher slots (the candidate's
 /// slot stays on the lowering stack), so a match is unambiguous.
 fn references_slot(nodes: &[LNode], slot: usize) -> bool {
-    fn lin_uses(f: &LinForm, slot: usize) -> bool {
-        f.terms.iter().any(|(s, _)| *s == slot)
-    }
-    fn bound_uses(b: &LBound, slot: usize) -> bool {
-        match b {
-            LBound::Lin(f) => lin_uses(f, slot),
-            LBound::Min(a, c) | LBound::Max(a, c) => bound_uses(a, slot) || bound_uses(c, slot),
-            LBound::FloorDiv(e, _) => bound_uses(e, slot),
-        }
-    }
     nodes.iter().any(|n| match n {
-        LNode::Stmt { accesses, .. } => accesses.iter().any(|a| lin_uses(&a.linear, slot)),
+        LNode::Stmt { accesses, .. } => accesses.iter().any(|a| a.linear.uses(slot)),
         LNode::If { conds, then } => {
-            conds
-                .iter()
-                .any(|(l, _, r)| lin_uses(l, slot) || lin_uses(r, slot))
+            conds.iter().any(|(l, _, r)| l.uses(slot) || r.uses(slot))
                 || references_slot(then, slot)
         }
-        LNode::Loop { lb, ub, body, .. } => {
-            bound_uses(lb, slot) || bound_uses(ub, slot) || references_slot(body, slot)
+        LNode::Loop { bounds, body, .. } => {
+            bounds.lb.uses(slot) || bounds.ub.uses(slot) || references_slot(body, slot)
         }
     })
 }
 
 struct Lowerer<'a> {
-    params: &'a HashMap<String, i64>,
+    scope: Scope<'a>,
     bases: &'a HashMap<String, u64>,
     extents: &'a HashMap<String, Vec<i64>>,
     vec_info: &'a HashMap<Vec<usize>, VecInfo>,
     /// The largest of the machine's three latencies.
     max_lat: u64,
-    slots: Vec<String>,
-    /// The first lowering error, if any.
-    error: Option<CostError>,
 }
 
 /// Element count of an array with extents `ext`, or `None` when the
@@ -508,102 +437,67 @@ fn element_count(ext: &[i64]) -> Option<i64> {
 }
 
 impl<'a> Lowerer<'a> {
-    fn fail(&mut self, e: CostError) {
-        self.error.get_or_insert(e);
-    }
-
-    fn lin(&mut self, e: &looprag_ir::AffineExpr) -> LinForm {
-        let mut constant = e.constant_term();
-        let mut terms = Vec::new();
-        for (sym, coeff) in e.iter_terms() {
-            if let Some(slot) = self.slots.iter().rposition(|s| s == sym) {
-                terms.push((slot, coeff));
-            } else if let Some(v) = self.params.get(sym) {
-                match coeff.checked_mul(*v).and_then(|t| constant.checked_add(t)) {
-                    Some(c) => constant = c,
-                    None => self.fail(CostError::Overflow(format!("the expression '{e}'"))),
-                }
-            } else {
-                self.fail(CostError::Unbound(sym.to_string()));
-            }
-        }
-        LinForm { constant, terms }
-    }
-
-    fn bound(&mut self, b: &Bound) -> LBound {
-        match b {
-            Bound::Affine(e) => LBound::Lin(self.lin(e)),
-            Bound::Min(a, c) => LBound::Min(Box::new(self.bound(a)), Box::new(self.bound(c))),
-            Bound::Max(a, c) => LBound::Max(Box::new(self.bound(a)), Box::new(self.bound(c))),
-            Bound::FloorDiv(e, c) => LBound::FloorDiv(Box::new(self.bound(e)), *c),
-        }
-    }
-
-    fn access(&mut self, a: &looprag_ir::Access) -> Option<LAccess> {
-        let base = *self.bases.get(&a.array)?;
-        let extents: &'a HashMap<String, Vec<i64>> = self.extents;
-        let extents = extents.get(&a.array)?;
-        let Some(linear) = self.linear_index(a, extents) else {
-            self.fail(CostError::Overflow(format!(
-                "a subscript of array '{}'",
-                a.array
-            )));
-            return None;
+    /// The lowered access, or `None` for an array without a layout.
+    fn access(&self, a: &looprag_ir::Access) -> Result<Option<LAccess>, CostError> {
+        let (Some(&base), Some(extents)) = (self.bases.get(&a.array), self.extents.get(&a.array))
+        else {
+            return Ok(None);
         };
-        Some(LAccess {
+        let linear = self.linear_index(a, extents)?;
+        // The layout pass already rejected arrays whose element count
+        // overflows.
+        Ok(element_count(extents).map(|n| LAccess {
             base,
             linear,
-            // The layout pass already rejected arrays whose element
-            // count overflows.
-            max_flat: element_count(extents)? - 1,
-        })
+            max_flat: n - 1,
+        }))
     }
 
     /// Collapses multi-dimensional subscripts into one linear element
-    /// index using the (constant) row strides; `None` on overflow.
-    fn linear_index(&mut self, a: &looprag_ir::Access, extents: &[i64]) -> Option<LinForm> {
-        let mut linear = LinForm {
-            constant: 0,
-            terms: Vec::new(),
-        };
-        let mut row = 1i64;
+    /// index using the (constant) row strides, last dimension first.
+    fn linear_index(&self, a: &looprag_ir::Access, extents: &[i64]) -> Result<Lin, CostError> {
+        let (mut constant, mut terms, mut row) = (0i64, Vec::<(usize, i64)>::new(), 1i64);
         for (dim, ext) in a.indexes.iter().zip(extents).rev() {
-            let f = self.lin(dim);
-            linear.constant = linear.constant.checked_add(f.constant.checked_mul(row)?)?;
-            for (slot, coeff) in f.terms {
-                let term = coeff.checked_mul(row)?;
-                if let Some(t) = linear.terms.iter_mut().find(|(s, _)| *s == slot) {
-                    t.1 = t.1.checked_add(term)?;
-                } else {
-                    linear.terms.push((slot, term));
+            let f = self.scope.lin(dim)?;
+            let mut merge = || {
+                constant = constant.checked_add(f.constant.checked_mul(row)?)?;
+                for &(slot, coeff) in f.terms.iter() {
+                    let term = coeff.checked_mul(row)?;
+                    match terms.iter_mut().find(|t| t.0 == slot) {
+                        Some(t) => t.1 = t.1.checked_add(term)?,
+                        None => terms.push((slot, term)),
+                    }
                 }
-            }
-            row = row.checked_mul(*ext)?;
+                row = row.checked_mul(*ext)?;
+                Some(())
+            };
+            let subscript = || format!("a subscript of array '{}'", a.array);
+            merge().ok_or_else(|| CostError::Overflow(subscript()))?;
         }
-        Some(linear)
+        let terms = terms.into();
+        Ok(Lin { constant, terms })
     }
 
-    fn lower(&mut self, nodes: &[Node], path: &mut Vec<usize>, ovh: u64) -> Vec<LNode> {
+    fn lower(
+        &mut self,
+        nodes: &'a [Node],
+        path: &mut Vec<usize>,
+        ovh: u64,
+    ) -> Result<Vec<LNode>, CostError> {
         let mut out = Vec::new();
         for (i, n) in nodes.iter().enumerate() {
             path.push(i);
             match n {
                 Node::Stmt(s) => {
-                    let mut accesses = Vec::new();
                     let mut reads = Vec::new();
                     s.rhs.collect_reads(&mut reads);
-                    for r in reads {
-                        if let Some(a) = self.access(r) {
-                            accesses.push(a);
-                        }
-                    }
                     if s.op.reads_target() {
-                        if let Some(a) = self.access(&s.lhs) {
-                            accesses.push(a);
-                        }
+                        reads.push(&s.lhs);
                     }
-                    if let Some(a) = self.access(&s.lhs) {
-                        accesses.push(a);
+                    reads.push(&s.lhs);
+                    let mut accesses = Vec::new();
+                    for a in reads {
+                        accesses.extend(self.access(a)?);
                     }
                     out.push(LNode::Stmt {
                         alu: s.rhs.alu_cost() + 1,
@@ -611,41 +505,33 @@ impl<'a> Lowerer<'a> {
                     });
                 }
                 Node::If { conds, then } => {
-                    let lconds = conds
+                    let conds = conds
                         .iter()
-                        .map(|c| (self.lin(&c.lhs), c.op, self.lin(&c.rhs)))
-                        .collect();
-                    let then = self.lower(then, path, ovh);
-                    out.push(LNode::If {
-                        conds: lconds,
-                        then,
-                    });
+                        .map(|c| self.scope.cond(c))
+                        .collect::<Result<_, _>>()?;
+                    let then = self.lower(then, path, ovh)?;
+                    out.push(LNode::If { conds, then });
                 }
                 Node::Loop(l) => {
-                    let lb = self.bound(&l.lb);
-                    let ub = self.bound(&l.ub);
-                    self.slots.push(l.iter.clone());
-                    let slot = self.slots.len() - 1;
-                    let body = self.lower(&l.body, path, ovh);
-                    self.slots.pop();
+                    let bounds = self.scope.loop_bounds(l)?;
+                    let slot = self.scope.push(&l.iter);
+                    let body = self.lower(&l.body, path, ovh)?;
+                    self.scope.pop();
                     out.push(LNode::Loop {
                         slot,
-                        lb,
-                        ub,
-                        inclusive: l.ub_inclusive,
-                        step: l.step,
+                        bounds,
                         parallel: l.parallel,
                         vec_factor: self.vec_info.get(path.as_slice()).map(|v| v.factor),
                         header_ovh: ovh,
                         body_invariant: !references_slot(&body, slot),
-                        leaf: leaf_shape(&body, slot, l.step, ovh, self.max_lat).map(Box::new),
+                        leaf: leaf_shape(&body, slot, ovh, self.max_lat).map(Box::new),
                         body,
                     });
                 }
             }
             path.pop();
         }
-        out
+        Ok(out)
     }
 }
 
@@ -747,10 +633,7 @@ impl<'a> Model<'a> {
             }
             LNode::Loop {
                 slot,
-                lb,
-                ub,
-                inclusive,
-                step,
+                bounds: LoopBounds { lb, ub, step },
                 parallel,
                 vec_factor,
                 header_ovh,
@@ -759,10 +642,7 @@ impl<'a> Model<'a> {
                 body,
             } => {
                 let lbv = lb.eval(&self.iters);
-                let mut ubv = ub.eval(&self.iters);
-                if !inclusive {
-                    ubv -= 1;
-                }
+                let ubv = ub.eval(&self.iters);
                 let header = *header_ovh as f64;
                 let mut cost = CostVec::default();
                 cost.ovh += header;
@@ -833,7 +713,7 @@ fn empty_loop_walk(
     step: i64,
     header: u64,
 ) -> Option<(f64, i64)> {
-    if !body.is_empty() || step <= 0 || ubv.checked_add(step).is_none() {
+    if !body.is_empty() || ubv.checked_add(step).is_none() {
         return None;
     }
     let steps = u64::try_from(ubv.checked_sub(lbv)? / step).ok()?;
@@ -858,19 +738,6 @@ fn is_innermost(p: &Program, path: &[usize]) -> bool {
 
 fn stmts_under<'a>(n: &'a Node, out: &mut Vec<&'a looprag_ir::Statement>) {
     n.for_each_stmt(&mut |s| out.push(s));
-}
-
-/// Element stride of `acc` with respect to iterator `iter`, under the
-/// given extents: the change in flattened index per unit step of `iter`.
-/// `None` when it overflows `i64` (lowering then rejects the program).
-fn stride_of(acc: &looprag_ir::Access, iter: &str, extents: &[i64]) -> Option<i64> {
-    let mut stride = 0i64;
-    let mut row = 1i64;
-    for (dim, ext) in acc.indexes.iter().zip(extents).rev() {
-        stride = stride.checked_add(dim.coeff(iter).checked_mul(row)?)?;
-        row = row.checked_mul(*ext)?;
-    }
-    Some(stride)
 }
 
 fn bound_is_messy(b: &Bound) -> bool {
@@ -929,7 +796,7 @@ fn vectorization_map(
                 let Some(ext) = extents.get(&a.array) else {
                     continue;
                 };
-                if !matches!(stride_of(a, &l.iter, ext), Some(-1..=1)) {
+                if !matches!(element_stride(a, &l.iter, ext), Some(-1..=1)) {
                     clean = false;
                 }
             }
@@ -968,24 +835,27 @@ pub(crate) fn lower_for_cost(
     // Cost estimation runs at the program's own declared parameter values;
     // benchmark kernels are authored at simulation-friendly scales, and the
     // original/optimized pair must be compared at identical sizes.
-    let params: HashMap<String, i64> = p.params.iter().map(|d| (d.name.clone(), d.value)).collect();
+    let params: HashMap<&str, i64> = p
+        .params
+        .iter()
+        .map(|d| (d.name.as_str(), d.value))
+        .collect();
+    let env = |s: &str| params.get(s).copied();
     // Array layout: sequential base addresses, line-aligned.
     let mut bases = HashMap::new();
     let mut extents = HashMap::new();
     let mut next_base = 0u64;
     for a in &p.arrays {
-        let ext: Vec<i64> = a
-            .dims
-            .iter()
-            .map(|d| d.eval(&|s| params.get(s).copied()).unwrap_or(1).max(1))
-            .collect();
         // Checked: a huge declared extent must be a clean rejection, not
         // a debug-build panic or a wrapped (nonsense) address.
-        let end = element_count(&ext)
-            .and_then(|elems| (elems as u64).checked_mul(8))
-            .and_then(|bytes| bytes.checked_next_multiple_of(64))
-            .and_then(|bytes| next_base.checked_add(bytes)?.checked_add(64));
-        let Some(end) = end else {
+        let layout = a.layout_extents(&env).and_then(|ext| {
+            let end = element_count(&ext)
+                .and_then(|elems| (elems as u64).checked_mul(8))
+                .and_then(|bytes| bytes.checked_next_multiple_of(64))
+                .and_then(|bytes| next_base.checked_add(bytes)?.checked_add(64))?;
+            Some((ext, end))
+        });
+        let Some((ext, end)) = layout else {
             return Err(CostError::Overflow(format!(
                 "the layout of array '{}'",
                 a.name
@@ -1012,19 +882,13 @@ pub(crate) fn lower_for_cost(
 
     // Lower to the slot-indexed cost IR.
     let mut lowerer = Lowerer {
-        params: &params,
+        scope: Scope::new(&env),
         bases: &bases,
         extents: &extents,
         vec_info: &vec_info,
         max_lat: cfg.lat_l1.max(cfg.lat_l2).max(cfg.lat_mem),
-        slots: Vec::new(),
-        error: None,
     };
-    let mut path = Vec::new();
-    let lowered = lowerer.lower(&p.body, &mut path, cfg.loop_overhead);
-    if let Some(e) = lowerer.error {
-        return Err(e);
-    }
+    let lowered = lowerer.lower(&p.body, &mut Vec::new(), cfg.loop_overhead)?;
     Ok(Prepared {
         lowered,
         vectorized,

@@ -42,7 +42,7 @@
 #![warn(missing_docs)]
 
 use looprag_dependence::{analyze_for, DependenceSet, Purpose};
-use looprag_ir::{loop_paths, node_at, Node, NodePath, Program};
+use looprag_ir::{element_stride, loop_paths, node_at, Node, NodePath, Program};
 use looprag_transform::{perfect_band, OracleConfig, OracleTarget, Recipe, Step};
 
 /// Options mirroring the PLuTo command line used in the paper
@@ -103,20 +103,10 @@ fn innermost_score(p: &Program, path: &NodePath, iter: &str) -> i64 {
             let Some(decl) = p.array(&a.array) else {
                 continue;
             };
-            let extents: Vec<i64> = decl
-                .dims
-                .iter()
-                .map(|d| d.eval(&env).unwrap_or(1).max(1))
-                .collect();
-            let mut stride = 0i64;
-            let mut row = 1i64;
-            for (dim, ext) in a.indexes.iter().zip(&extents).rev() {
-                stride += dim.coeff(iter) * row;
-                row *= ext;
-            }
-            score += match stride.abs() {
-                0 => 1,
-                1 => 2,
+            let extents = decl.layout_extents(&env);
+            score += match extents.and_then(|ext| element_stride(&a, iter, &ext)) {
+                Some(0) => 1,
+                Some(-1 | 1) => 2,
                 _ => -1,
             };
         }

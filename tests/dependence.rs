@@ -29,7 +29,11 @@
 use looprag::looprag_dependence::{
     analyze_with, analyze_with_reference, AnalysisConfig, DependenceSet, Purpose,
 };
-use looprag::looprag_ir::Program;
+use looprag::looprag_exec::{run, ExecConfig};
+use looprag::looprag_ir::{
+    Access, AffineExpr, ArrayDecl, AssignOp, Bound, Expr, InitKind, Loop, Node, Program,
+};
+use looprag::looprag_machine::{estimate_cost_reference, CostEngine, MachineConfig};
 use looprag::looprag_polyopt::{optimize, PolyOptions};
 use looprag::looprag_suites::all_benchmarks;
 use looprag::looprag_synth::{build_dataset, generate_example, LoopParams, SynthConfig};
@@ -132,6 +136,60 @@ fn edge_order_is_total_and_repeatable() {
             "{}: edges not strictly sorted by (src, dst, array, kind)",
             b.name
         );
+    }
+}
+
+/// `for (t = 0; t <= 2; t++) for (i = 2; i <= 6; i += step) A[i] += 1.0;`
+/// with a step the parser cannot produce.
+fn degenerate_step_kernel(step: i64) -> Program {
+    let stmt = Node::stmt(
+        Access::new("A", vec![AffineExpr::var("i")]),
+        AssignOp::AddAssign,
+        Expr::num(1.0),
+    );
+    let mut inner = Loop::new("i", Bound::constant(2), Bound::constant(6), vec![stmt]);
+    inner.step = step;
+    let outer = Loop::new(
+        "t",
+        Bound::constant(0),
+        Bound::constant(2),
+        vec![Node::Loop(inner)],
+    );
+    let mut p = Program::new("degenerate_step");
+    p.arrays
+        .push(ArrayDecl::new("A", vec![AffineExpr::constant(8)]));
+    p.outputs.push("A".into());
+    p.inits.push(("A".into(), InitKind::Zero));
+    p.body = vec![Node::Loop(outer)];
+    p.renumber_statements();
+    p
+}
+
+/// A loop with a non-positive step runs once, at its lower bound, on
+/// every walker: the lane engine, the tracer and its reference, and
+/// both cost paths, so each outer trip is one statement instance.
+#[test]
+fn degenerate_steps_run_once_per_loop_entry_on_every_walker() {
+    for step in [0, -1, -3] {
+        let p = degenerate_step_kernel(step);
+        let (store, stats) = run(&p, &ExecConfig::default()).unwrap();
+        assert_eq!(stats.stmts_executed, 3, "step {step}");
+        assert_eq!(store.get("A").unwrap().data[2], 3.0, "step {step}");
+        for cfg in configs(&p) {
+            let set = pin(&format!("step {step}"), &p, &cfg);
+            assert!(!set.truncated, "step {step}");
+            // Three instances on one cell: each edge closes twice.
+            assert_eq!(set.deps.len(), 3, "step {step}: {set:?}");
+            assert!(
+                set.deps.iter().all(|d| d.count == 2),
+                "step {step}: {set:?}"
+            );
+        }
+        let cfg = MachineConfig::gcc();
+        let reference = estimate_cost_reference(&p, &cfg).unwrap();
+        let engine = CostEngine::new().estimate(&p, &cfg).unwrap();
+        assert_eq!(reference, engine, "step {step}");
+        assert_eq!(reference.instances, 3, "step {step}");
     }
 }
 
