@@ -71,7 +71,7 @@ fn bench_interpreter(c: &mut Criterion) {
     let compiled = CompiledProgram::compile(&p);
     c.bench_function("interp_compiled_gemm_n16", |b| {
         b.iter(|| {
-            let mut store = BatchStore::from_program(&p, 1);
+            let mut store = BatchStore::from_inputs(&p, &[vec![]]);
             compiled
                 .run_batched(&mut store, &ExecConfig::default(), None)
                 .remove(0)

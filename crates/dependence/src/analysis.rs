@@ -17,12 +17,44 @@
 //! lowered form. Loop headers, guards and subscripts go through the
 //! shared [`looprag_ir::lower`] lowering at the scaled parameter values;
 //! the tracer adds dense array and loop ids and each statement's read
-//! list, lowered once in `Statement::reads` order. The walk then does no
-//! string hashing and no per-access allocation: each statement instance
-//! allocates its iteration vector once and all its accesses share it;
-//! cells are keyed by `(array id, FNV key)` and edges by `(src, dst,
-//! array id, kind)`, in maps with a fixed hasher. Reads of arrays that
+//! list, lowered once in `Statement::reads` order. Reads of arrays that
 //! no statement writes are skipped: such cells can never close an edge.
+//!
+//! ## Flat walk state
+//!
+//! The walk hashes nothing and allocates nothing per instance, and a
+//! cell inside its array's extents costs no allocation of its own:
+//!
+//! - **Cell table.** A cell is addressed by its exact row-major index
+//!   into a paged table over its array's extents at the scaled
+//!   parameters. A cell is `2 + depth` words: its last write's site and
+//!   the head of its read groups, the number of reads by that writing
+//!   instance, and that instance's iteration vector. Only an index tuple
+//!   outside the extents (or of another rank, or of an array too large
+//!   for a table) goes through an exact-tuple map, which numbers it a
+//!   cell past the table's end. Pages are allocated when first touched.
+//! - **Read groups.** The reads of a cell since its last write are one
+//!   node per reading site (and array) in a segmented arena with a free
+//!   list: the number of reads and, per loop level, the least and the
+//!   greatest iteration value. A level's direction and constant
+//!   distance depend only on its least and greatest distance, so a
+//!   group folds all of its reads into its RAW edge (with the last
+//!   write) and its WAR edge (with the next write) at once. Memory is
+//!   proportional to live cell references, not to instances traced.
+//! - **Edges.** Each access ends a few slots (a site, an array and a
+//!   kind); a slot keeps the edge of its most recent source site, so a
+//!   fold finds its edge without hashing. An edge keeps the least and
+//!   greatest distance per common level; once every level is `*` with
+//!   no constant distance, it only counts.
+//!
+//! Pages and arena segments hold at most 8192 words (64 KiB), under
+//! glibc's mmap threshold: every block comes from the heap, and freeing
+//! one never raises that threshold, which would keep later large
+//! buffers on the heap and raise the process's peak memory.
+//!
+//! A statement's own read feeding its own write in the same instance is
+//! not an edge, but it is the anti source for the next write to that
+//! cell; both tracers identify it as a read by the writing instance.
 //!
 //! An unevaluable form (an unbound symbol, or a parameter fold that
 //! overflows) is skipped: a bound skips its loop, a subscript its
@@ -33,17 +65,15 @@
 //!
 //! [`analyze_with_reference`](crate::analyze_with_reference) is the
 //! direct tree walk over the IR, resolving every symbol by name at
-//! every instance; it is the layer's one reference oracle. Both sort
+//! every instance and keying cells by array name and index tuple; it is
+//! the layer's one reference oracle. Both sort
 //! edges by the total key `(src, dst, array, kind)` and are pinned
 //! equal under exact `==` by `tests/dependence.rs`.
 
 use looprag_ir::lower::{Guard, Lin, LoopBounds, Scope};
 use looprag_ir::{adaptive_sampling_cap, Access, Node, NodePath, Program, Statement};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::rc::Rc;
 use std::sync::OnceLock;
 
 /// Dependence kind, by the access pair that creates it.
@@ -356,6 +386,7 @@ pub(crate) fn sorted_set(mut deps: Vec<Dependence>, truncated: bool) -> Dependen
 struct DependenceMetrics {
     analyses: looprag_trace::Counter,
     instances_traced: looprag_trace::Counter,
+    edge_pairs: looprag_trace::Counter,
 }
 
 fn dependence_metrics() -> &'static DependenceMetrics {
@@ -365,73 +396,42 @@ fn dependence_metrics() -> &'static DependenceMetrics {
         DependenceMetrics {
             analyses: r.counter("dependence.analyses"),
             instances_traced: r.counter("dependence.instances_traced"),
+            edge_pairs: r.counter("dependence.edge_pairs"),
         }
     })
 }
 
-/// A fixed, non-random multiplicative hasher (the "Fx" scheme) for the
-/// tracer's integer-keyed maps. `finish` rotates the well-mixed high
-/// bits down to where the table picks its bucket.
-#[derive(Default)]
-struct FxHasher(u64);
+/// The most `i64` words in one cell page or group segment: 64 KiB,
+/// half of glibc's initial mmap threshold, so every block the walk
+/// allocates comes from the heap, and freeing one never raises that
+/// threshold for the rest of the process (which would keep later large
+/// buffers, such as difftest stores, on the heap after they are freed).
+const SEG_WORDS: usize = 8192;
+/// The most page-directory entries per array (64 KiB of pointers);
+/// an array whose cells need more has no table.
+const MAX_PAGES: usize = 8192;
+/// log2 of the fewest cells a page holds.
+const MIN_PAGE_SHIFT: u32 = 6;
 
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
+/// Two `u32` fields in one word.
+fn pack(lo: u32, hi: u32) -> i64 {
+    (u64::from(lo) | u64::from(hi) << 32) as i64
 }
 
-impl Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.add(u64::from(*b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
+fn unpack(word: i64) -> (u32, u32) {
+    let w = word as u64;
+    (w as u32, (w >> 32) as u32)
 }
-
-/// Keys are interned ids and FNV folds of affine subscript values, not
-/// raw input, and the instance budget bounds the work, so the tracer
-/// forgoes the default hasher's collision resistance for speed.
-type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// A lowered [`Access`]: an interned array and resolved subscripts.
 struct LAccess {
     array: u32,
     /// `None` when a subscript is unevaluable: the access is skipped.
     indexes: Option<Box<[Lin]>>,
-    /// For a read: whether any statement writes the array. Cells of a
-    /// read-only array can never close an edge, so such reads are not
-    /// recorded.
-    written: bool,
-}
-
-impl LAccess {
-    /// The touched cell: the FNV-1a fold of the concrete index tuple.
-    /// Only cell identity matters, so out-of-range indexes are fine.
-    fn key(&self, ivec: &[i64]) -> Option<(u32, u64)> {
-        let mut key = 1469598103934665603u64; // FNV offset
-        for e in self.indexes.as_deref()? {
-            key ^= e.eval(ivec) as u64;
-            key = key.wrapping_mul(1099511628211);
-        }
-        Some((self.array, key))
-    }
+    /// The edge slot this access ends: for a read, the RAW slot of its
+    /// site and array; for a write, the WAW slot, with the WAR slot
+    /// after it.
+    slot: u32,
 }
 
 /// A statement position: its id, enclosing loops and lowered accesses.
@@ -439,9 +439,26 @@ struct Site {
     stmt: usize,
     /// Ids of the enclosing loops, outermost first.
     loops: Box<[u32]>,
-    /// Reads in `Statement::reads` order.
-    reads: Box<[LAccess]>,
+    /// Reads in `Statement::reads` order, but for the `same` reads and
+    /// the reads of arrays that no statement writes (their cells can
+    /// never close an edge).
+    reads: Vec<LAccess>,
     write: LAccess,
+    /// The RAW slot of the written array when the site also reads it.
+    own: Option<u32>,
+    /// Reads with the write's own subscripts (as in `A[i] += …`): they
+    /// always touch the written cell, so they are counted, not traced,
+    /// and `reads` leaves them out.
+    same: i64,
+}
+
+/// The destination end of an edge: a site, the array it accesses there
+/// and the kind. An edge is found by its slot and its source site.
+#[derive(Clone, Copy)]
+struct Slot {
+    site: u32,
+    array: u32,
+    kind: DepKind,
 }
 
 enum Op {
@@ -465,6 +482,7 @@ struct LoopOp {
 struct Lowered {
     ops: Box<[Op]>,
     sites: Vec<Site>,
+    slots: Vec<Slot>,
     loop_paths: Vec<NodePath>,
     arrays: Vec<String>,
 }
@@ -488,24 +506,51 @@ impl<'p> Lowerer<'p> {
         LAccess {
             array,
             indexes: self.scope.subscripts(a).ok(),
-            written: false,
+            slot: 0,
         }
     }
 
+    /// A new slot ending at `site` on `array`.
+    fn slot(&mut self, site: u32, array: u32, kind: DepKind) -> u32 {
+        self.out.slots.push(Slot { site, array, kind });
+        (self.out.slots.len() - 1) as u32
+    }
+
     fn site(&mut self, s: &'p Statement) -> u32 {
+        let site = self.out.sites.len() as u32;
         let mut reads = Vec::new();
         s.rhs.collect_reads(&mut reads);
         if s.op.reads_target() {
             reads.push(&s.lhs);
         }
-        let site = Site {
+        let mut reads: Vec<LAccess> = reads.into_iter().map(|a| self.access(a)).collect();
+        // One RAW slot per array the site reads: reads of one array by
+        // one site close the same edges.
+        for j in 0..reads.len() {
+            let array = reads[j].array;
+            reads[j].slot = match reads[..j].iter().find(|r| r.array == array) {
+                Some(r) => r.slot,
+                None => self.slot(site, array, DepKind::Raw),
+            };
+        }
+        let mut write = self.access(&s.lhs);
+        write.slot = self.slot(site, write.array, DepKind::Waw);
+        self.slot(site, write.array, DepKind::War);
+        let own = reads
+            .iter()
+            .find(|r| r.array == write.array)
+            .map(|r| r.slot);
+        let total = reads.len();
+        reads.retain(|r| r.array != write.array || r.indexes != write.indexes);
+        self.out.sites.push(Site {
             stmt: s.id,
             loops: self.loops.as_slice().into(),
-            reads: reads.into_iter().map(|a| self.access(a)).collect(),
-            write: self.access(&s.lhs),
-        };
-        self.out.sites.push(site);
-        (self.out.sites.len() - 1) as u32
+            own,
+            same: (total - reads.len()) as i64,
+            reads,
+            write,
+        });
+        site
     }
 
     fn nodes(&mut self, nodes: &'p [Node]) -> Box<[Op]> {
@@ -547,6 +592,7 @@ impl Lowered {
             out: Lowered {
                 ops: Box::default(),
                 sites: Vec::new(),
+                slots: Vec::new(),
                 loop_paths: Vec::new(),
                 arrays: Vec::new(),
             },
@@ -557,26 +603,252 @@ impl Lowered {
             written[site.write.array as usize] = true;
         }
         for site in &mut l.out.sites {
-            for r in site.reads.iter_mut() {
-                r.written = written[r.array as usize];
-            }
+            site.reads.retain(|r| written[r.array as usize]);
         }
         l.out
     }
+
+    /// The deepest site's loop depth.
+    fn depth(&self) -> usize {
+        self.sites.iter().map(|s| s.loops.len()).max().unwrap_or(0)
+    }
 }
 
-/// One statement instance. All of its accesses share one iteration
-/// vector allocation.
-#[derive(Clone)]
-struct Inst {
-    site: u32,
-    ivec: Rc<[i64]>,
+/// One array's cells. A cell is `2 + depth` words: the last write's
+/// site and the head of the cell's read groups packed in one word, the
+/// number of reads by the instance that wrote it last, then that
+/// instance's iteration vector. A zeroed cell is untouched.
+struct CellTable {
+    /// The extents at the scaled parameters, or `None` when the array
+    /// has no table: undeclared, an overflowing extent, or more cells
+    /// than `MAX_PAGES` pages hold.
+    extents: Option<Box<[i64]>>,
+    /// Cells in the table; overflow cells are numbered from here.
+    len: usize,
+    /// log2 of the cells per page.
+    shift: u32,
+    pages: Vec<Option<Box<[i64]>>>,
+    /// Index tuples outside the extents, or of another rank, by their
+    /// exact values.
+    overflow: BTreeMap<Box<[i64]>, usize>,
 }
 
-#[derive(Default)]
-struct Cell {
-    last_write: Option<Inst>,
-    reads_since_write: Vec<Inst>,
+impl CellTable {
+    /// A table over `extents` for cells of `stride` words, on the
+    /// fewest pages (of at least `2^MIN_PAGE_SHIFT` cells) that fit
+    /// `MAX_PAGES`; no table when none do.
+    fn new(extents: Option<Vec<i64>>, stride: usize) -> CellTable {
+        let max_shift = (SEG_WORDS / stride).max(1).ilog2();
+        let len = extents
+            .as_deref()
+            .and_then(|e| e.iter().try_fold(1usize, |n, &x| n.checked_mul(x as usize)));
+        let fit = len.and_then(|len| {
+            (MIN_PAGE_SHIFT.min(max_shift)..=max_shift)
+                .find(|&shift| len.div_ceil(1 << shift) <= MAX_PAGES)
+                .map(|shift| (len, shift))
+        });
+        let (extents, len, shift) = match fit {
+            Some((len, shift)) => (extents.map(Vec::into_boxed_slice), len, shift),
+            None => (None, 0, max_shift),
+        };
+        CellTable {
+            extents,
+            len,
+            shift,
+            pages: Vec::new(),
+            overflow: BTreeMap::new(),
+        }
+    }
+
+    /// The row-major index of an in-range tuple of the table's rank.
+    fn flat(&self, indexes: &[Lin], ivec: &[i64]) -> Option<usize> {
+        let extents = self.extents.as_deref()?;
+        if indexes.len() != extents.len() {
+            return None;
+        }
+        let mut flat = 0usize;
+        for (e, &ext) in indexes.iter().zip(extents) {
+            let v = e.eval(ivec);
+            if !(0..ext).contains(&v) {
+                return None;
+            }
+            flat = flat * ext as usize + v as usize;
+        }
+        Some(flat)
+    }
+}
+
+/// Every array's cell table, over one scratch tuple.
+struct Cells {
+    tables: Vec<CellTable>,
+    /// Words per cell.
+    stride: usize,
+    tuple: Vec<i64>,
+}
+
+impl Cells {
+    fn new(p: &Program, lowered: &Lowered, params: &HashMap<String, i64>) -> Cells {
+        let env = |s: &str| params.get(s).copied();
+        let stride = 2 + lowered.depth();
+        let tables = lowered
+            .arrays
+            .iter()
+            .map(|name| {
+                let decl = p.arrays.iter().find(|d| &d.name == name);
+                CellTable::new(decl.and_then(|d| d.layout_extents(&env)), stride)
+            })
+            .collect();
+        Cells {
+            tables,
+            stride,
+            tuple: Vec::new(),
+        }
+    }
+
+    /// Where the cell that `a` touches at `ivec` lives: its array and
+    /// its index in that array's table, or `None` when a subscript is
+    /// unevaluable.
+    fn locate(&mut self, a: &LAccess, ivec: &[i64]) -> Option<(u32, usize)> {
+        let indexes = a.indexes.as_deref()?;
+        let t = &mut self.tables[a.array as usize];
+        if let Some(flat) = t.flat(indexes, ivec) {
+            return Some((a.array, flat));
+        }
+        self.tuple.clear();
+        self.tuple.extend(indexes.iter().map(|e| e.eval(ivec)));
+        let next = t.len + t.overflow.len();
+        let index = match t.overflow.get(self.tuple.as_slice()) {
+            Some(&i) => i,
+            None => {
+                t.overflow.insert(self.tuple.as_slice().into(), next);
+                next
+            }
+        };
+        Some((a.array, index))
+    }
+
+    /// The cell at a location from [`Cells::locate`].
+    fn cell(&mut self, (array, index): (u32, usize)) -> &mut [i64] {
+        let t = &mut self.tables[array as usize];
+        let (page, at) = (index >> t.shift, index & ((1 << t.shift) - 1));
+        if page >= t.pages.len() {
+            // The table's whole directory at once (at most `MAX_PAGES`
+            // entries), then room for overflow cells as they come.
+            let table_pages = t.len.div_ceil(1 << t.shift);
+            t.pages.resize_with((page + 1).max(table_pages), || None);
+        }
+        let words = self.stride << t.shift;
+        let cells = t.pages[page].get_or_insert_with(|| vec![0; words].into_boxed_slice());
+        &mut cells[at * self.stride..(at + 1) * self.stride]
+    }
+
+    /// Every touched cell.
+    fn touched(&self) -> impl Iterator<Item = &[i64]> {
+        let stride = self.stride;
+        self.tables
+            .iter()
+            .flat_map(|t| t.pages.iter().flatten())
+            .flat_map(move |page| page.chunks_exact(stride))
+    }
+}
+
+/// The reads of every cell since its last write, one group per RAW slot
+/// (a reading site and the cell's array): a linked node of
+/// `2 + 2 * depth` words (the slot and the next node packed in one word,
+/// the number of reads, then per loop level the least and the greatest
+/// iteration value of those reads) in fixed segments, with a free list.
+///
+/// A group folds all of its reads into an edge at once: a level's
+/// direction and constant distance depend only on its least and
+/// greatest distance, and every read of a group pairs with the same
+/// last write (RAW) and the same next write (WAR).
+struct Groups {
+    depth: usize,
+    /// log2 of the nodes per segment.
+    shift: u32,
+    segs: Vec<Box<[i64]>>,
+    /// Nodes handed out so far, free ones included.
+    used: usize,
+    /// 1-based handle of the first free node, 0 for none.
+    free: u32,
+}
+
+impl Groups {
+    fn new(depth: usize) -> Groups {
+        Groups {
+            depth,
+            shift: (SEG_WORDS / (2 + 2 * depth)).max(1).ilog2(),
+            segs: Vec::new(),
+            used: 0,
+            free: 0,
+        }
+    }
+
+    fn node(&mut self, h: u32) -> &mut [i64] {
+        let stride = 2 + 2 * self.depth;
+        let i = h as usize - 1;
+        let at = (i & ((1 << self.shift) - 1)) * stride;
+        &mut self.segs[i >> self.shift][at..at + stride]
+    }
+
+    /// A group of one read at `ivec` for RAW slot `slot`, linked in
+    /// front of `next`.
+    fn push(&mut self, slot: u32, ivec: &[i64], next: u32) -> u32 {
+        let h = if self.free != 0 {
+            let h = self.free;
+            self.free = unpack(self.node(h)[0]).1;
+            h
+        } else {
+            if self.used >> self.shift == self.segs.len() {
+                let words = (2 + 2 * self.depth) << self.shift;
+                self.segs.push(vec![0; words].into_boxed_slice());
+            }
+            self.used += 1;
+            u32::try_from(self.used).expect("fewer than 2^32 live read groups")
+        };
+        let depth = self.depth;
+        let node = self.node(h);
+        node[0] = pack(slot, next);
+        node[1] = 1;
+        node[2..2 + ivec.len()].copy_from_slice(ivec);
+        node[2 + depth..2 + depth + ivec.len()].copy_from_slice(ivec);
+        h
+    }
+
+    /// Adds one read at `ivec` for RAW slot `slot` to the list at
+    /// `head`; returns the new head.
+    fn add(&mut self, head: u32, slot: u32, ivec: &[i64]) -> u32 {
+        let depth = self.depth;
+        let mut h = head;
+        while h != 0 {
+            let node = self.node(h);
+            let (key, next) = unpack(node[0]);
+            if key == slot {
+                node[1] += 1;
+                let (lo, hi) = node[2..].split_at_mut(depth);
+                for ((lo, hi), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(ivec) {
+                    *lo = (*lo).min(v);
+                    *hi = (*hi).max(v);
+                }
+                return head;
+            }
+            h = next;
+        }
+        self.push(slot, ivec, head)
+    }
+
+    fn release(&mut self, h: u32) {
+        let free = self.free;
+        self.node(h)[0] = pack(0, free);
+        self.free = h;
+    }
+}
+
+/// A group node's fields: slot, next, reads, least and greatest values.
+fn group_fields(node: &[i64], depth: usize) -> (u32, u32, u64, &[i64], &[i64]) {
+    let (slot, next) = unpack(node[0]);
+    let (lo, hi) = node[2..].split_at(depth);
+    (slot, next, node[1] as u64, lo, hi)
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -587,69 +859,143 @@ struct EdgeKey {
     kind: DepKind,
 }
 
+/// One edge's fold of its instance pairs.
 struct EdgeAcc {
+    key: EdgeKey,
     /// Loop ids of the common loops.
-    common: Vec<u32>,
-    directions: Vec<Direction>,
-    distance: Vec<Option<i64>>,
+    common: Box<[u32]>,
+    /// Per common level, the least and greatest distance observed: the
+    /// direction and the constant distance both follow from the range.
+    levels: Box<[(i64, i64)]>,
     count: u64,
+    /// Every level spans `*` with no constant distance; more pairs only
+    /// count.
+    saturated: bool,
 }
 
-/// Folds one instance pair into its edge. The common loops are the
-/// longest prefix of identical enclosing loops; edge vectors are only
-/// allocated when the edge is first seen.
-fn record_edge(
-    edges: &mut FastMap<EdgeKey, EdgeAcc>,
-    sites: &[Site],
-    src: &Inst,
-    dst: &Inst,
-    array: u32,
-    kind: DepKind,
-) {
-    let (s, d) = (&sites[src.site as usize], &sites[dst.site as usize]);
-    let n = s
-        .loops
-        .iter()
-        .zip(d.loops.iter())
-        .take_while(|(a, b)| a == b)
-        .count();
-    let dist = |i: usize| dst.ivec[i] - src.ivec[i];
-    let key = EdgeKey {
-        src: s.stmt,
-        dst: d.stmt,
-        array,
-        kind,
-    };
-    match edges.entry(key) {
-        Entry::Occupied(e) => {
-            let acc = e.into_mut();
-            for i in 0..n {
-                let di = dist(i);
-                acc.directions[i] = acc.directions[i].merge(Direction::of(di));
-                if acc.distance[i] != Some(di) {
-                    acc.distance[i] = None;
-                }
+/// The direction of a level whose distances span `lo..=hi`: one sign
+/// throughout, else `*`.
+fn direction_of(lo: i64, hi: i64) -> Direction {
+    if lo > 0 {
+        Direction::Lt
+    } else if hi < 0 {
+        Direction::Gt
+    } else if lo == 0 && hi == 0 {
+        Direction::Eq
+    } else {
+        Direction::Star
+    }
+}
+
+impl EdgeAcc {
+    /// Folds `pairs` instance pairs whose distances lie, per common
+    /// level, between `lo` and `hi`.
+    fn fold(&mut self, pairs: u64, lo: &[i64], hi: &[i64]) {
+        self.count += pairs;
+        if self.saturated {
+            return;
+        }
+        let mut saturated = true;
+        for (level, (&lo, &hi)) in self.levels.iter_mut().zip(lo.iter().zip(hi)) {
+            level.0 = level.0.min(lo);
+            level.1 = level.1.max(hi);
+            saturated &= level.0 < level.1 && level.0 <= 0 && level.1 >= 0;
+        }
+        self.saturated = saturated;
+    }
+}
+
+/// The edge accumulators, and per slot the edges its source sites have
+/// opened.
+struct Edges {
+    acc: Vec<EdgeAcc>,
+    ids: HashMap<EdgeKey, u32>,
+    /// Per slot: the `(source site, edge)` pair found last, `u32::MAX`
+    /// for no site.
+    recent: Vec<(u32, u32)>,
+    /// Per slot: every `(source site, edge)` pair, a few per slot.
+    sources: Vec<Vec<(u32, u32)>>,
+}
+
+impl Edges {
+    /// The edge from `src_site` into `slot`, which ends at `dst_site`.
+    fn edge(&mut self, l: &Lowered, slot: u32, src_site: u32, dst_site: u32) -> &mut EdgeAcc {
+        let (site, e) = self.recent[slot as usize];
+        let e = if site == src_site {
+            e
+        } else {
+            self.find(l, slot, src_site, dst_site)
+        };
+        &mut self.acc[e as usize]
+    }
+
+    /// [`Edges::edge`] past the one-entry cache: the edge is built when
+    /// first seen, its common loops the longest prefix of identical
+    /// enclosing loops.
+    fn find(&mut self, l: &Lowered, slot: u32, src_site: u32, dst_site: u32) -> u32 {
+        let sources = &mut self.sources[slot as usize];
+        let e = match sources.iter().find(|s| s.0 == src_site) {
+            Some(&(_, e)) => e,
+            None => {
+                let end = l.slots[slot as usize];
+                let (s, d) = (&l.sites[src_site as usize], &l.sites[dst_site as usize]);
+                let key = EdgeKey {
+                    src: s.stmt,
+                    dst: d.stmt,
+                    array: end.array,
+                    kind: end.kind,
+                };
+                let acc = &mut self.acc;
+                let e = *self.ids.entry(key).or_insert_with(|| {
+                    let n = s
+                        .loops
+                        .iter()
+                        .zip(d.loops.iter())
+                        .take_while(|(a, b)| a == b)
+                        .count();
+                    acc.push(EdgeAcc {
+                        key,
+                        common: s.loops[..n].into(),
+                        levels: vec![(i64::MAX, i64::MIN); n].into_boxed_slice(),
+                        count: 0,
+                        saturated: false,
+                    });
+                    (acc.len() - 1) as u32
+                });
+                sources.push((src_site, e));
+                e
             }
-            acc.count += 1;
-        }
-        Entry::Vacant(e) => {
-            let dists: Vec<i64> = (0..n).map(dist).collect();
-            e.insert(EdgeAcc {
-                common: s.loops[..n].to_vec(),
-                directions: dists.iter().map(|d| Direction::of(*d)).collect(),
-                distance: dists.iter().map(|d| Some(*d)).collect(),
-                count: 1,
-            });
-        }
+        };
+        self.recent[slot as usize] = (src_site, e);
+        e
+    }
+}
+
+/// Fills `lo` and `hi` with the range of `dst - src` per level, for
+/// values `src` in `src_lo..=src_hi` and `dst` in `dst_lo..=dst_hi`.
+fn spread(
+    lo: &mut [i64],
+    hi: &mut [i64],
+    (src_lo, src_hi): (&[i64], &[i64]),
+    (dst_lo, dst_hi): (&[i64], &[i64]),
+) {
+    let ranges = src_lo.iter().zip(src_hi).zip(dst_lo.iter().zip(dst_hi));
+    for ((lo, hi), ((s_lo, s_hi), (d_lo, d_hi))) in lo.iter_mut().zip(hi.iter_mut()).zip(ranges) {
+        *lo = d_lo - s_hi;
+        *hi = d_hi - s_lo;
     }
 }
 
 struct Walk<'l> {
-    sites: &'l [Site],
+    lowered: &'l Lowered,
     /// Current value of each enclosing loop's iterator, outermost first.
     ivec: Vec<i64>,
-    cells: FastMap<(u32, u64), Cell>,
-    edges: FastMap<EdgeKey, EdgeAcc>,
+    cells: Cells,
+    groups: Groups,
+    edges: Edges,
+    /// Scratch distance ranges, one entry per loop level.
+    lo: Vec<i64>,
+    hi: Vec<i64>,
     instances: u64,
     budget: u64,
     truncated: bool,
@@ -662,50 +1008,84 @@ impl Walk<'_> {
             return false;
         }
         self.instances += 1;
-        let sites = self.sites;
-        let site = &sites[idx as usize];
-        let mut inst: Option<Inst> = None;
-        // Reads first (evaluation order), then the write.
-        for r in site.reads.iter() {
-            if !r.written {
-                continue;
-            }
-            let Some(key) = r.key(&self.ivec) else {
+        let Walk {
+            lowered: l,
+            ivec,
+            cells,
+            groups,
+            edges,
+            lo,
+            hi,
+            ..
+        } = self;
+        let site = &l.sites[idx as usize];
+        let target = cells.locate(&site.write, ivec);
+        // Reads first (evaluation order), then the write. A read joins
+        // its cell's group for its slot; its RAW pair is folded when
+        // the group closes. A read of the written cell is held back
+        // until the write: a statement's own read feeding its own
+        // write in the same instance is not an edge, but it is the
+        // anti source for the *next* write.
+        let mut own = site.same;
+        for r in &site.reads {
+            let Some(at) = cells.locate(r, ivec) else {
                 continue;
             };
-            let inst = inst.get_or_insert_with(|| Inst {
-                site: idx,
-                ivec: self.ivec.as_slice().into(),
-            });
-            let cell = self.cells.entry(key).or_default();
-            if let Some(w) = &cell.last_write {
-                record_edge(&mut self.edges, sites, w, inst, r.array, DepKind::Raw);
+            if Some(at) == target {
+                own += 1;
+            } else {
+                let cell = cells.cell(at);
+                let (last, head) = unpack(cell[0]);
+                cell[0] = pack(last, groups.add(head, r.slot, ivec));
             }
-            cell.reads_since_write.push(inst.clone());
         }
-        if let Some(key) = site.write.key(&self.ivec) {
-            let inst = inst.unwrap_or_else(|| Inst {
-                site: idx,
-                ivec: self.ivec.as_slice().into(),
-            });
-            let array = site.write.array;
-            let cell = self.cells.entry(key).or_default();
-            let edges = &mut self.edges;
-            if let Some(w) = &cell.last_write {
-                record_edge(edges, sites, w, &inst, array, DepKind::Waw);
+        let Some(at) = target else {
+            return true;
+        };
+        let cell = cells.cell(at);
+        let (last, head) = unpack(cell[0]);
+        let (kept, w) = (cell[1], &cell[2..]);
+        let slot = site.write.slot;
+        if last != 0 {
+            // The last write pairs with this write (WAW), with the
+            // reads of its own instance (WAR) and with this instance's
+            // own reads (RAW): one distance vector for all three.
+            let src = last - 1;
+            let waw = edges.edge(l, slot, src, idx);
+            let n = waw.levels.len();
+            spread(&mut lo[..n], &mut hi[..n], (w, w), (ivec, ivec));
+            let d = &lo[..n];
+            waw.fold(1, d, d);
+            if kept > 0 {
+                edges.edge(l, slot + 1, src, idx).fold(kept as u64, d, d);
             }
-            cell.reads_since_write.retain(|r| {
-                // A statement's own read feeding its own write in the
-                // same instance is not an edge, but it is the anti
-                // source for the *next* write to this cell.
-                let own = sites[r.site as usize].stmt == site.stmt && r.ivec == inst.ivec;
-                if !own {
-                    record_edge(edges, sites, r, &inst, array, DepKind::War);
-                }
-                own
-            });
-            cell.last_write = Some(inst);
+            if let (Some(raw), true) = (site.own, own > 0) {
+                edges.edge(l, raw, src, idx).fold(own as u64, d, d);
+            }
         }
+        // Every group closes: its reads pair with the last write (RAW)
+        // and with this write (WAR).
+        let depth = groups.depth;
+        let mut h = head;
+        while h != 0 {
+            let (raw, next, reads, r_lo, r_hi) = group_fields(groups.node(h), depth);
+            let reader = l.slots[raw as usize].site;
+            if last != 0 {
+                let acc = edges.edge(l, raw, last - 1, reader);
+                let n = acc.levels.len();
+                spread(&mut lo[..n], &mut hi[..n], (w, w), (r_lo, r_hi));
+                acc.fold(reads, &lo[..n], &hi[..n]);
+            }
+            let acc = edges.edge(l, slot + 1, reader, idx);
+            let n = acc.levels.len();
+            spread(&mut lo[..n], &mut hi[..n], (r_lo, r_hi), (ivec, ivec));
+            acc.fold(reads, &lo[..n], &hi[..n]);
+            groups.release(h);
+            h = next;
+        }
+        cell[0] = pack(idx + 1, 0);
+        cell[1] = own;
+        cell[2..2 + ivec.len()].copy_from_slice(ivec);
         true
     }
 
@@ -750,6 +1130,35 @@ impl Walk<'_> {
         }
         true
     }
+
+    /// Folds the RAW pairs of the groups still open when the walk ends.
+    fn finish(&mut self) {
+        let Walk {
+            lowered: l,
+            cells,
+            groups,
+            edges,
+            lo,
+            hi,
+            ..
+        } = self;
+        let depth = groups.depth;
+        for cell in cells.touched() {
+            let (last, mut h) = unpack(cell[0]);
+            if last == 0 {
+                continue;
+            }
+            let w = &cell[2..];
+            while h != 0 {
+                let (raw, next, reads, r_lo, r_hi) = group_fields(groups.node(h), depth);
+                let acc = edges.edge(l, raw, last - 1, l.slots[raw as usize].site);
+                let n = acc.levels.len();
+                spread(&mut lo[..n], &mut hi[..n], (w, w), (r_lo, r_hi));
+                acc.fold(reads, &lo[..n], &hi[..n]);
+                h = next;
+            }
+        }
+    }
 }
 
 /// Analyzes `p` with the default configuration.
@@ -766,43 +1175,68 @@ pub fn analyze_for(p: &Program, purpose: Purpose) -> DependenceSet {
 /// aggregating exact dependence edges.
 ///
 /// Bit-identical to [`analyze_with_reference`](crate::analyze_with_reference).
-/// Each call bumps the `dependence.analyses` and
-/// `dependence.instances_traced` registry counters once.
+/// Each call bumps the `dependence.analyses`,
+/// `dependence.instances_traced` and `dependence.edge_pairs` registry
+/// counters once.
 pub fn analyze_with(p: &Program, cfg: &AnalysisConfig) -> DependenceSet {
-    let lowered = Lowered::new(p, &scaled_params(p, cfg.param_cap));
+    let params = scaled_params(p, cfg.param_cap);
+    let lowered = Lowered::new(p, &params);
     let mut walk = Walk {
-        sites: &lowered.sites,
+        lowered: &lowered,
         ivec: Vec::new(),
-        cells: FastMap::default(),
-        edges: FastMap::default(),
+        cells: Cells::new(p, &lowered, &params),
+        groups: Groups::new(lowered.depth()),
+        edges: Edges {
+            acc: Vec::new(),
+            ids: HashMap::new(),
+            recent: vec![(u32::MAX, 0); lowered.slots.len()],
+            sources: vec![Vec::new(); lowered.slots.len()],
+        },
+        lo: vec![0; lowered.depth()],
+        hi: vec![0; lowered.depth()],
         instances: 0,
         budget: cfg.instance_budget,
         truncated: false,
     };
     walk.visit(&lowered.ops);
+    walk.finish();
+    let Walk {
+        instances,
+        truncated,
+        edges,
+        ..
+    } = walk;
     let m = dependence_metrics();
     m.analyses.inc();
-    m.instances_traced.add(walk.instances);
-    drop(walk.cells);
-    let deps = walk
-        .edges
+    m.instances_traced.add(instances);
+    m.edge_pairs.add(edges.acc.iter().map(|e| e.count).sum());
+    let deps = edges
+        .acc
         .into_iter()
-        .map(|(key, acc)| Dependence {
-            kind: key.kind,
-            array: lowered.arrays[key.array as usize].clone(),
-            src: key.src,
-            dst: key.dst,
-            common_loops: acc
+        .map(|e| Dependence {
+            kind: e.key.kind,
+            array: lowered.arrays[e.key.array as usize].clone(),
+            src: e.key.src,
+            dst: e.key.dst,
+            common_loops: e
                 .common
                 .iter()
                 .map(|id| lowered.loop_paths[*id as usize].clone())
                 .collect(),
-            directions: acc.directions,
-            distance: acc.distance,
-            count: acc.count,
+            directions: e
+                .levels
+                .iter()
+                .map(|&(lo, hi)| direction_of(lo, hi))
+                .collect(),
+            distance: e
+                .levels
+                .iter()
+                .map(|&(lo, hi)| (lo == hi).then_some(lo))
+                .collect(),
+            count: e.count,
         })
         .collect();
-    sorted_set(deps, walk.truncated)
+    sorted_set(deps, truncated)
 }
 
 #[cfg(test)]

@@ -21,8 +21,9 @@
 //! [`analyze_with`] lowers the program once per call and traces the
 //! lowered form; [`analyze_with_reference`] is the direct tree walk it
 //! is pinned to, bit for bit. Each `analyze_with` call bumps the
-//! `dependence.analyses` and `dependence.instances_traced` counters of
-//! the `looprag-trace` metrics registry.
+//! `dependence.analyses`, `dependence.instances_traced` and
+//! `dependence.edge_pairs` (instance pairs folded into edges) counters
+//! of the `looprag-trace` metrics registry.
 //!
 //! ```
 //! use looprag_dependence::{analyze, DepKind};

@@ -17,12 +17,8 @@ struct Instance {
     stmt: usize,
     /// (loop path, iteration value) for each enclosing loop, outermost first.
     ivec: Vec<(NodePath, i64)>,
-}
-
-impl Instance {
-    fn ivec_values(&self) -> Vec<i64> {
-        self.ivec.iter().map(|(_, v)| *v).collect()
-    }
+    /// The instance's number in execution order.
+    seq: u64,
 }
 
 #[derive(Default)]
@@ -42,7 +38,7 @@ struct Tracer {
     params: HashMap<String, i64>,
     iters: Vec<(String, i64)>,
     loop_stack: Vec<(NodePath, i64)>,
-    cells: HashMap<(String, u64), CellState>,
+    cells: HashMap<(String, Vec<i64>), CellState>,
     edges: HashMap<(usize, usize, String, DepKind), EdgeAcc>,
     instances: u64,
     budget: u64,
@@ -63,16 +59,14 @@ impl Tracer {
         b.eval(&|s| self.lookup(s)).ok()
     }
 
-    fn flat_key(&self, acc: &looprag_ir::Access) -> Option<(String, u64)> {
-        // Encode the concrete index tuple; we do not need real allocation,
-        // only cell identity, so out-of-range indexes are fine here.
-        let mut key = 1469598103934665603u64; // FNV offset
-        for e in &acc.indexes {
-            let v = e.eval(&|s| self.lookup(s)).ok()?;
-            key ^= v as u64;
-            key = key.wrapping_mul(1099511628211);
-        }
-        Some((acc.array.clone(), key))
+    /// The touched cell: the array and its exact index tuple.
+    fn cell_key(&self, acc: &looprag_ir::Access) -> Option<(String, Vec<i64>)> {
+        let tuple = acc
+            .indexes
+            .iter()
+            .map(|e| e.eval(&|s| self.lookup(s)).ok())
+            .collect::<Option<_>>()?;
+        Some((acc.array.clone(), tuple))
     }
 
     fn record_edge(&mut self, src: &Instance, dst: &Instance, array: &str, kind: DepKind) {
@@ -113,10 +107,11 @@ impl Tracer {
         let inst = Instance {
             stmt: s.id,
             ivec: self.loop_stack.clone(),
+            seq: self.instances,
         };
         // Reads first (evaluation order), then the write.
         for r in s.reads() {
-            if let Some(key) = self.flat_key(&r) {
+            if let Some(key) = self.cell_key(&r) {
                 let array = key.0.clone();
                 let last_write = self
                     .cells
@@ -134,7 +129,7 @@ impl Tracer {
                     .push(inst.clone());
             }
         }
-        if let Some(key) = self.flat_key(&s.lhs) {
+        if let Some(key) = self.cell_key(&s.lhs) {
             let array = key.0.clone();
             let (last_write, readers) = {
                 let cell = self.cells.entry(key.clone()).or_default();
@@ -148,7 +143,7 @@ impl Tracer {
             }
             let mut kept = Vec::new();
             for r in readers {
-                if r.stmt == inst.stmt && r.ivec_values() == inst.ivec_values() {
+                if r.seq == inst.seq {
                     // A statement's own read feeding its own write in the
                     // same instance is not an edge, but it is the anti
                     // source for the *next* write to this cell.

@@ -383,10 +383,7 @@ impl ExpectedLanes {
     fn prepare(orig: &Program, suite: &TestSuite, cfg: &EqCheckConfig) -> Self {
         count_ground_truth_run();
         let n = suite.inputs.len();
-        let mut stores = BatchStore::from_program(orig, n);
-        for (lane, spec) in suite.inputs.iter().enumerate() {
-            stores.fill_lane(lane, spec);
-        }
+        let mut stores = BatchStore::from_inputs(orig, &suite.inputs);
         let fwd = ExecConfig {
             stmt_budget: cfg.stmt_budget,
             parallel_order: ParallelOrder::Forward,
@@ -463,11 +460,8 @@ fn differential_test_batched(
     let compiled = CompiledProgram::compile(&cand);
     // One lane per listed suite input, in order.
     let input_lanes = |inputs: &[usize]| {
-        let mut store = BatchStore::from_program(&cand, inputs.len());
-        for (lane, &i) in inputs.iter().enumerate() {
-            store.fill_lane(lane, &suite.inputs[i]);
-        }
-        store
+        let specs: Vec<InputSpec> = inputs.iter().map(|&i| suite.inputs[i].clone()).collect();
+        BatchStore::from_inputs(&cand, &specs)
     };
     // Lane template: allocated and input-filled once; full-width sweeps
     // clone it instead of recomputing per-element array initialization

@@ -33,7 +33,7 @@
 use crate::compile::{CAccess, CLoop, CNode, CStmt, CompiledProgram, Op};
 use crate::interp::{ExecConfig, ExecError, ExecStats, ParallelOrder};
 use crate::store::{element_count, flatten_extents, ArrayData, ArrayStore, InputSpec};
-use looprag_ir::{AssignOp, BinOp, Program};
+use looprag_ir::{AssignOp, BinOp, InitKind, Program};
 use std::collections::HashMap;
 
 /// A structure-of-arrays store: `lanes` independent memory images of one
@@ -52,17 +52,21 @@ pub struct BatchStore {
 }
 
 impl BatchStore {
-    /// Allocates `lanes` copies of every array declared by `p`, each lane
-    /// initialized exactly like [`ArrayStore::from_program`]: non-local
-    /// arrays filled from the program's init patterns, locals zeroed.
+    /// One lane per input, each holding every array declared by `p`
+    /// and filled once: an array the input names from the last
+    /// [`InitKind`](looprag_ir::InitKind) it gives that name, any other
+    /// non-local array from the program's init pattern (as
+    /// [`ArrayStore::from_program`]), and the rest zeroed. Names `p`
+    /// does not declare are ignored.
     ///
     /// # Panics
     ///
     /// Panics if an array extent references an undeclared parameter or
     /// an array is too large to allocate; run [`looprag_ir::validate`]
     /// first.
-    pub fn from_program(p: &Program, lanes: usize) -> Self {
+    pub fn from_inputs(p: &Program, inputs: &[InputSpec]) -> Self {
         let env = p.param_env();
+        let lanes = inputs.len();
         let mut store = BatchStore {
             lanes,
             names: Vec::new(),
@@ -77,11 +81,12 @@ impl BatchStore {
                 .unwrap_or_else(|sym| panic!("unbound parameter '{sym}' in array extents"));
             let len = element_count(&extents, 1);
             let mut data = vec![0.0; element_count(&extents, lanes)];
-            if !decl.local {
-                let init = p.init_for(&decl.name);
-                for flat in 0..len {
-                    let v = init.value_at(flat);
-                    data[flat * lanes..(flat + 1) * lanes].fill(v);
+            let own = (!decl.local).then(|| p.init_for(&decl.name));
+            for (lane, input) in inputs.iter().enumerate() {
+                let named = input.iter().rev().find(|(n, _)| *n == decl.name);
+                match named.map(|(_, init)| init).or(own.as_ref()) {
+                    None | Some(InitKind::Zero) => {}
+                    Some(init) => init.fill(data.chunks_exact_mut(lanes).map(|row| &mut row[lane])),
                 }
             }
             store.insert(decl.name.clone(), extents, len, data);
@@ -147,27 +152,6 @@ impl BatchStore {
             .enumerate()
             .map(|(i, n)| (n.clone(), i))
             .collect();
-    }
-
-    /// Loads `input` into one lane: each named array's lane is
-    /// overwritten from its [`looprag_ir::InitKind`] pattern, in order.
-    /// Names the store does not hold are ignored, and arrays the spec
-    /// does not name keep their contents.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane` is out of range.
-    pub fn fill_lane(&mut self, lane: usize, input: &InputSpec) {
-        let lanes = self.lanes;
-        assert!(lane < lanes, "lane {lane} out of {lanes}");
-        for (name, init) in input {
-            if let Some(&i) = self.index.get(name) {
-                let col = &mut self.data[i];
-                for flat in 0..self.lens[i] {
-                    col[flat * lanes + lane] = init.value_at(flat);
-                }
-            }
-        }
     }
 
     /// Extracts one lane as a plain [`ArrayStore`] (arrays in insertion
@@ -354,7 +338,7 @@ impl CompiledProgram {
 /// Returns the lane's [`ExecError`] on an out-of-bounds access, budget
 /// exhaustion, or an unbound symbol.
 pub fn run(p: &Program, cfg: &ExecConfig) -> Result<(ArrayStore, ExecStats), ExecError> {
-    let mut store = BatchStore::from_program(p, 1);
+    let mut store = BatchStore::from_inputs(p, &[InputSpec::new()]);
     let outcome = CompiledProgram::compile(p)
         .run_batched(&mut store, cfg, None)
         .remove(0);
@@ -713,10 +697,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut batch = BatchStore::from_program(p, specs.len());
-        for (lane, spec) in specs.iter().enumerate() {
-            batch.fill_lane(lane, spec);
-        }
+        let mut batch = BatchStore::from_inputs(p, &specs);
         let results = CompiledProgram::compile(p).run_batched(&mut batch, cfg, budgets);
         for (lane, spec) in specs.iter().enumerate() {
             let mut store = ArrayStore::from_program(p);
@@ -813,8 +794,8 @@ mod tests {
     fn checksum_and_diff_match_scalar_store() {
         let p = gemm();
         let outputs = p.outputs.clone();
-        let mut batch = BatchStore::from_program(&p, 2);
-        batch.fill_lane(1, &vec![("A".into(), InitKind::Constant(1.5))]);
+        let inputs = [vec![], vec![("A".into(), InitKind::Constant(1.5))]];
+        let mut batch = BatchStore::from_inputs(&p, &inputs);
         let cp = CompiledProgram::compile(&p);
         cp.run_batched(&mut batch, &ExecConfig::default(), None);
         for lane in 0..2 {
@@ -848,9 +829,11 @@ mod tests {
             "param N = 6;\narray A[N];\narray B[N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) A[i] = 1.0 / B[i];\n#pragma endscop\n",
         );
         let outputs = p.outputs.clone();
-        let mut batch = BatchStore::from_program(&p, 2);
-        batch.fill_lane(0, &vec![("B".into(), InitKind::Zero)]);
-        batch.fill_lane(1, &vec![("B".into(), InitKind::Constant(2.0))]);
+        let inputs = [
+            vec![("B".into(), InitKind::Zero)],
+            vec![("B".into(), InitKind::Constant(2.0))],
+        ];
+        let mut batch = BatchStore::from_inputs(&p, &inputs);
         CompiledProgram::compile(&p).run_batched(&mut batch, &ExecConfig::default(), None);
         let all = batch.checksum_lanes(&outputs);
         for (lane, sum) in all.iter().enumerate() {
@@ -867,9 +850,12 @@ mod tests {
     #[test]
     fn retain_arrays_keeps_named_lanes_bit_for_bit() {
         let p = gemm();
-        let mut batch = BatchStore::from_program(&p, 3);
-        batch.fill_lane(1, &vec![("A".into(), InitKind::Constant(1.5))]);
-        batch.fill_lane(2, &vec![("B".into(), InitKind::Zero)]);
+        let inputs = [
+            vec![],
+            vec![("A".into(), InitKind::Constant(1.5))],
+            vec![("B".into(), InitKind::Zero)],
+        ];
+        let mut batch = BatchStore::from_inputs(&p, &inputs);
         CompiledProgram::compile(&p).run_batched(&mut batch, &ExecConfig::default(), None);
         let before: Vec<ArrayStore> = (0..3).map(|lane| batch.lane_store(lane)).collect();
         let keep = vec!["C".to_string(), "B".to_string()];
@@ -899,10 +885,61 @@ mod tests {
         }
     }
 
+    /// Each lane is filled once: from the input's last init for a name,
+    /// else the program's own init (a local array zeroed), bit for bit
+    /// `InitKind::value_at` of each flat index, also for patterns whose
+    /// `idx·a + b` wraps and for a negative modulus.
+    #[test]
+    fn input_lanes_match_value_at() {
+        let mut p = program(
+            "param N = 12;\narray A[N][N];\narray B[N];\narray T[N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) A[i][i] = B[i] + T[i];\n#pragma endscop\n",
+        );
+        p.arrays[2].local = true;
+        let pattern = |a, b, m| InitKind::IndexPattern { a, b, m };
+        let inputs: Vec<InputSpec> = vec![
+            vec![],
+            vec![
+                ("A".into(), InitKind::Constant(-0.0)),
+                ("A".into(), pattern(i64::MAX / 3, 5, 1_000_003)),
+                ("Z".into(), InitKind::Zero),
+            ],
+            vec![
+                ("B".into(), pattern(-7, -3, 13)),
+                ("T".into(), InitKind::default_pattern()),
+            ],
+            vec![
+                ("A".into(), InitKind::Zero),
+                ("B".into(), InitKind::Constant(2.5)),
+                ("T".into(), pattern(3, 1, -5)),
+            ],
+        ];
+        let store = BatchStore::from_inputs(&p, &inputs);
+        for (lane, input) in inputs.iter().enumerate() {
+            let got = store.lane_store(lane);
+            for decl in &p.arrays {
+                let named = input.iter().rev().find(|(n, _)| *n == decl.name);
+                let init = match named {
+                    Some((_, init)) => init.clone(),
+                    None if decl.local => InitKind::Zero,
+                    None => p.init_for(&decl.name),
+                };
+                let data = &got.get(&decl.name).unwrap().data;
+                for (flat, v) in data.iter().enumerate() {
+                    assert_eq!(
+                        v.to_bits(),
+                        init.value_at(flat).to_bits(),
+                        "lane {lane} {}[{flat}]",
+                        decl.name
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn zero_lanes_is_a_no_op() {
         let p = gemm();
-        let mut batch = BatchStore::from_program(&p, 0);
+        let mut batch = BatchStore::from_inputs(&p, &[]);
         let results =
             CompiledProgram::compile(&p).run_batched(&mut batch, &ExecConfig::default(), None);
         assert!(results.is_empty());

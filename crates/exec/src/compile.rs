@@ -264,7 +264,7 @@ mod tests {
     fn assert_engines_agree(p: &Program, cfg: &ExecConfig) -> Result<ExecStats, ExecError> {
         let mut s_ref = ArrayStore::from_program(p);
         let r_ref = run_with_store_reference(p, &mut s_ref, cfg);
-        let mut batch = BatchStore::from_program(p, 1);
+        let mut batch = BatchStore::from_inputs(p, &[vec![]]);
         let r_new = CompiledProgram::compile(p)
             .run_batched(&mut batch, cfg, None)
             .remove(0);
@@ -501,8 +501,8 @@ mod tests {
         let cp = CompiledProgram::compile(&p);
         let cfg = ExecConfig::default();
         for fill in [0.0, 1.5, -3.0] {
-            let mut store = BatchStore::from_program(&p, 1);
-            store.fill_lane(0, &vec![("A".to_string(), InitKind::Constant(fill))]);
+            let input = vec![("A".to_string(), InitKind::Constant(fill))];
+            let mut store = BatchStore::from_inputs(&p, &[input]);
             cp.run_batched(&mut store, &cfg, None).remove(0).unwrap();
             assert!(store
                 .lane_store(0)

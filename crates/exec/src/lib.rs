@@ -25,8 +25,8 @@
 //! assert_eq!(stats.stmts_executed, 4);
 //! // Compile once, run many inputs as the lanes of one batch:
 //! let compiled = CompiledProgram::compile(&p);
-//! let mut lanes = BatchStore::from_program(&p, 2);
-//! lanes.fill_lane(1, &vec![("A".to_string(), InitKind::Constant(2.0))]);
+//! let inputs = [vec![], vec![("A".to_string(), InitKind::Constant(2.0))]];
+//! let mut lanes = BatchStore::from_inputs(&p, &inputs);
 //! for outcome in compiled.run_batched(&mut lanes, &ExecConfig::default(), None) {
 //!     outcome?;
 //! }

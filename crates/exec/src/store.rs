@@ -10,8 +10,9 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// One test input: an initialization per (non-local) array, applied over
-/// a store built by `from_program`. Arrays it does not name keep the
-/// program's own inits; names the store does not hold are ignored.
+/// a store built from the program's own inits. Arrays it does not name
+/// keep those; names the store does not hold are ignored; of two inits
+/// for one name, the later wins.
 pub type InputSpec = Vec<(String, InitKind)>;
 
 /// One allocated array: concrete extents plus row-major `f64` data.
@@ -40,9 +41,7 @@ impl ArrayData {
 
     /// Fills elements from an [`InitKind`] pattern.
     pub fn fill(&mut self, init: &InitKind) {
-        for (i, v) in self.data.iter_mut().enumerate() {
-            *v = init.value_at(i);
-        }
+        init.fill(self.data.iter_mut());
     }
 
     /// Flattens a multi-dimensional index, or `None` when out of bounds.

@@ -330,6 +330,44 @@ impl InitKind {
             }
         }
     }
+
+    /// Writes the elements with flattened indexes `0, 1, …` in order:
+    /// each gets [`InitKind::value_at`] of its index, bit for bit. An
+    /// index pattern steps its residue by `a mod m` per element where
+    /// no `idx·a + b` can wrap, and falls back to the formula where one
+    /// can.
+    ///
+    /// ```
+    /// use looprag_ir::InitKind;
+    /// let init = InitKind::IndexPattern { a: 7, b: 1, m: 97 };
+    /// let mut data = vec![0.0; 300];
+    /// init.fill(data.iter_mut());
+    /// assert!(data.iter().enumerate().all(|(i, v)| v.to_bits() == init.value_at(i).to_bits()));
+    /// ```
+    pub fn fill<'a>(&self, out: impl ExactSizeIterator<Item = &'a mut f64>) {
+        match *self {
+            InitKind::Zero => out.for_each(|x| *x = 0.0),
+            InitKind::Constant(c) => out.for_each(|x| *x = c),
+            InitKind::IndexPattern { a, b, m } => {
+                let last = i64::try_from(out.len().saturating_sub(1)).ok();
+                let no_wrap = last
+                    .and_then(|n| n.checked_mul(a)?.checked_add(b))
+                    .is_some();
+                if no_wrap && m > 0 && m <= i64::MAX / 2 {
+                    let (mut r, step, scale) = (b.rem_euclid(m), a.rem_euclid(m), m as f64);
+                    for x in out {
+                        *x = r as f64 / scale;
+                        r += step;
+                        if r >= m {
+                            r -= m;
+                        }
+                    }
+                } else {
+                    out.enumerate().for_each(|(idx, x)| *x = self.value_at(idx));
+                }
+            }
+        }
+    }
 }
 
 /// A complete program: a SCoP plus the declarations that surround it.

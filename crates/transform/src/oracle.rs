@@ -20,7 +20,7 @@
 //! The initial memory images are the *lanes* of one
 //! [`CompiledProgram::run_batched`] sweep: lane 0 holds the program's own
 //! inits (an empty [`InputSpec`]), lane `k ≥ 1` every non-local array
-//! filled with `cfg.extra_inits[k - 1]` ([`BatchStore::fill_lane`]).
+//! filled with `cfg.extra_inits[k - 1]` ([`BatchStore::from_inputs`]).
 //! Control flow is data-independent, so one sweep runs every image; the
 //! candidate gets one sweep per order of [`ParallelOrder::probes`], and
 //! each lane is compared with [`BatchStore::element_diff_lane`].
@@ -214,11 +214,7 @@ fn init_lanes(p: &Program, extra: &[InitKind]) -> BatchStore {
     let inputs: Vec<InputSpec> = std::iter::once(InputSpec::new())
         .chain(extra.iter().map(fill_all))
         .collect();
-    let mut store = BatchStore::from_program(p, inputs.len());
-    for (lane, input) in inputs.iter().enumerate() {
-        store.fill_lane(lane, input);
-    }
-    store
+    BatchStore::from_inputs(p, &inputs)
 }
 
 /// One original program to check candidates against, with its expected

@@ -27,16 +27,17 @@
 //! this file within about 30 s in the test profile.
 
 use looprag::looprag_dependence::{
-    analyze_with, analyze_with_reference, AnalysisConfig, DependenceSet, Purpose,
+    analyze_with, analyze_with_reference, AnalysisConfig, DepKind, DependenceSet, Purpose,
 };
 use looprag::looprag_exec::{run, ExecConfig};
 use looprag::looprag_ir::{
-    Access, AffineExpr, ArrayDecl, AssignOp, Bound, Expr, InitKind, Loop, Node, Program,
+    compile, Access, AffineExpr, ArrayDecl, AssignOp, Bound, Expr, InitKind, Loop, Node, Program,
 };
 use looprag::looprag_machine::{estimate_cost_reference, CostEngine, MachineConfig};
 use looprag::looprag_polyopt::{optimize, PolyOptions};
-use looprag::looprag_suites::all_benchmarks;
+use looprag::looprag_suites::{all_benchmarks, find};
 use looprag::looprag_synth::{build_dataset, generate_example, LoopParams, SynthConfig};
+use looprag::looprag_transform::{perfect_band, tile_band};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,6 +114,73 @@ fn synth_corpus_pins_to_reference() {
             }
         }
     }
+}
+
+/// The kernels of the end-to-end benchmark's cost-bound workload.
+const COST_BOUND: [&str; 11] = [
+    "atax", "bicg", "gesummv", "durbin", "trisolv", "deriche", "s235", "s257", "s119", "s233",
+    "s256",
+];
+
+/// Every top-level perfect band of `p` (up to three deep) tiled by 100:
+/// the shape of the candidates whose `Transform` analyses sample at the
+/// widest caps.
+fn tiled_by_100(p: &Program) -> Program {
+    let mut p = p.clone();
+    for i in (0..p.body.len()).rev() {
+        if let Ok(band) = perfect_band(&p, &[i], 3) {
+            if let Ok(tiled) = tile_band(&p, &[i], band.len(), 100) {
+                p = tiled;
+            }
+        }
+    }
+    p
+}
+
+#[test]
+fn heavy_tiled_shapes_pin_to_reference() {
+    for name in COST_BOUND {
+        let p = tiled_by_100(
+            &find(name)
+                .unwrap_or_else(|| panic!("no kernel {name}"))
+                .program(),
+        );
+        let cfg = Purpose::Transform.config(&p);
+        assert!(cfg.param_cap > 100, "{name}: cap {}", cfg.param_cap);
+        pin(&format!("{name} tiled by 100"), &p, &cfg);
+    }
+}
+
+/// A cell is its array and its exact index tuple. The two tuples below
+/// share a 64-bit FNV fold, and `A[0][5]` and `A[1][1]` share a
+/// row-major index under `A`'s extents: neither pair is one cell.
+#[test]
+fn cells_are_exact_index_tuples() {
+    let decls = "param N = 4;\narray A[N][N];\narray B[N];\nout B;\n";
+    let set_of = |body: &str| {
+        let p = compile(
+            &format!("{decls}#pragma scop\n{body}#pragma endscop\n"),
+            "cells",
+        )
+        .unwrap();
+        let cfg = AnalysisConfig::default();
+        pin(body, &p, &cfg)
+    };
+    // No statement reads a cell another one writes.
+    for body in [
+        "A[0][0] = 1.0;\nB[0] = A[1][1099511628415];\n",
+        "A[0][5] = 1.0;\nB[0] = A[1][1];\n",
+    ] {
+        assert!(set_of(body).deps.is_empty(), "{body}: {:?}", set_of(body));
+    }
+    // S2 reads the value S0 wrote; S1 writes another cell.
+    let set = set_of("A[1][1099511628415] = 2.0;\nA[0][0] = 1.0;\nB[0] = A[1][1099511628415];\n");
+    let edges: Vec<_> = set
+        .deps
+        .iter()
+        .map(|d| (d.kind, d.src, d.dst, d.array.as_str()))
+        .collect();
+    assert_eq!(edges, [(DepKind::Raw, 0, 2, "A")]);
 }
 
 /// Re-analyzing a program yields the same edge order, down to edges of

@@ -1,6 +1,6 @@
 //! Pins the dependence tracer's work-unit counters,
-//! `dependence.analyses` and `dependence.instances_traced`, for a fixed
-//! kernel list.
+//! `dependence.analyses`, `dependence.instances_traced` and
+//! `dependence.edge_pairs`, for a fixed kernel list.
 //!
 //! This lives in its own test binary with a single test: the counters
 //! are process-wide, so any concurrently running test inside the same
@@ -13,14 +13,19 @@ use looprag::looprag_trace::metrics;
 
 const KERNELS: [&str; 6] = ["gemm", "atax", "jacobi-2d", "s235", "s1115", "lore_conv1d"];
 
-fn deltas(run: impl FnOnce()) -> (u64, u64) {
+/// `(analyses, instances traced)` and the instance pairs folded into
+/// edges during `run`.
+fn deltas(run: impl FnOnce()) -> ((u64, u64), u64) {
     let before = metrics().snapshot();
     run();
     let after = metrics().snapshot();
+    let delta = |name| after.counter(name) - before.counter(name);
     (
-        after.counter("dependence.analyses") - before.counter("dependence.analyses"),
-        after.counter("dependence.instances_traced")
-            - before.counter("dependence.instances_traced"),
+        (
+            delta("dependence.analyses"),
+            delta("dependence.instances_traced"),
+        ),
+        delta("dependence.edge_pairs"),
     )
 }
 
@@ -32,13 +37,20 @@ fn work_unit_counters_are_pinned() {
         .collect();
     let cfg = AnalysisConfig::default();
 
-    // Each call adds one analysis and its traced-instance count.
+    // Each call adds one analysis, its traced-instance count and the
+    // instance pairs its edges count.
+    let mut counted = 0;
     let direct = deltas(|| {
         for p in &programs {
-            analyze_with(p, &cfg);
+            counted += analyze_with(p, &cfg)
+                .deps
+                .iter()
+                .map(|d| d.count)
+                .sum::<u64>();
         }
     });
-    assert_eq!(direct, (6, 1954));
+    assert_eq!(direct, ((6, 1954), 11_782));
+    assert_eq!(counted, direct.1);
 
     // A starved budget counts only the instances actually traced.
     let starved = AnalysisConfig {
@@ -50,7 +62,7 @@ fn work_unit_counters_are_pinned() {
             assert!(analyze_with(p, &starved).truncated);
         }
     });
-    assert_eq!(truncated, (6, 240));
+    assert_eq!(truncated, ((6, 240), 324));
 
     // The reference oracle is not metered.
     let reference = deltas(|| {
@@ -58,7 +70,7 @@ fn work_unit_counters_are_pinned() {
             analyze_with_reference(p, &cfg);
         }
     });
-    assert_eq!(reference, (0, 0));
+    assert_eq!(reference, ((0, 0), 0));
 
     // The polyhedral optimizer analyzes each program version once, not
     // once per pass or loop path that asks about it.
@@ -68,5 +80,5 @@ fn work_unit_counters_are_pinned() {
             optimize(p, &opts);
         }
     });
-    assert_eq!(polyopt, (24, 1317436));
+    assert_eq!(polyopt.0, (24, 1317436));
 }

@@ -58,10 +58,7 @@ fn assert_lanes_match_reference(
     budgets: &[u64],
     ctx: &str,
 ) -> Vec<Result<ExecStats, ExecError>> {
-    let mut batch = BatchStore::from_program(p, inputs.len());
-    for (lane, input) in inputs.iter().enumerate() {
-        batch.fill_lane(lane, input);
-    }
+    let mut batch = BatchStore::from_inputs(p, inputs);
     let bcfg = ExecConfig {
         stmt_budget: u64::MAX,
         parallel_order: order,
