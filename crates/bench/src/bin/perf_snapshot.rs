@@ -15,7 +15,6 @@
 //! | `retrieval` | `BENCH_retrieval.json` | `KnowledgeBase` rankings = the seed `Retriever`'s over a strided sweep in three modes | knowledge base ≥ 3x single-threaded |
 //! | `search` | `BENCH_search.json` | engine = `search_reference` (result fingerprint, admitted count) on a strided TSVC frontier | search ≥ 3x single-threaded |
 //! | `serve` | `BENCH_serve.json` | warm Zipf phase all memo hits with the cold payloads and no LLM or search work; snapshot → restore → replay byte-identical | warm hit ≥ 20x cheaper than a cold miss |
-//! | `rerank` | `BENCH_rerank.json` | `RankModel::fit` order-invariant, `train_rank_model` = the inline fit, model JSON byte-stable, ranked search identical at pool sizes 1/2/8 | total cost ratio ≥ 1, `estimate_cost` saving ≥ 1.5x, wall ≥ 1.5x |
 //! | `trace` | `BENCH_trace.json` | pipeline, search and serve event streams identical at pool sizes 1/2/8 with untraced outcomes; canonical JSON round-trips; Chrome export parses | disabled span path ≤ 20 ns/site |
 //!
 //! Usage: `perf_snapshot [--quick] [--out-dir DIR] [SECTION...]`. No
@@ -24,7 +23,7 @@
 //! usage line and exits 2 before anything runs; a missed full-mode gate
 //! exits 1 after every selected row has written its file.
 
-use looprag_bench::{run_campaign, snapshot_meta, train_rank_model};
+use looprag_bench::{run_campaign, snapshot_meta};
 use looprag_core::{LoopRag, LoopRagConfig};
 use looprag_eqcheck::{
     build_test_suite, differential_test, differential_test_reference, EqCheckConfig,
@@ -33,11 +32,8 @@ use looprag_eqcheck::{
 use looprag_ir::Program;
 use looprag_llm::LlmProfile;
 use looprag_machine::{estimate_cost_reference, CostEngine, CostError, CostReport, MachineConfig};
-use looprag_rank::{RankConfig, RankModel};
 use looprag_retrieval::{KnowledgeBase, RetrievalMode, Retriever};
-use looprag_search::{
-    rank_training_examples, search_reference, search_with_engine, SearchConfig, SearchStats,
-};
+use looprag_search::{search_reference, search_with_engine, SearchConfig, SearchStats};
 use looprag_suites::{all_benchmarks, Benchmark, Suite};
 use looprag_synth::{build_dataset, generate_example, LoopParams, SynthConfig};
 use looprag_transform::{parallelize, tile_band};
@@ -55,7 +51,7 @@ struct Row {
     run: fn(&Ctx) -> Report,
 }
 
-const ROWS: [Row; 6] = [
+const ROWS: [Row; 5] = [
     Row {
         section: "interp",
         file: "BENCH_interp.json",
@@ -77,11 +73,6 @@ const ROWS: [Row; 6] = [
         run: serve,
     },
     Row {
-        section: "rerank",
-        file: "BENCH_rerank.json",
-        run: rerank,
-    },
-    Row {
         section: "trace",
         file: "BENCH_trace.json",
         run: trace,
@@ -89,7 +80,7 @@ const ROWS: [Row; 6] = [
 ];
 
 const USAGE: &str = "usage: perf_snapshot [--quick] [--out-dir DIR] [SECTION...] \
-                     (sections: interp retrieval search serve rerank trace)";
+                     (sections: interp retrieval search serve trace)";
 
 /// The run mode every row reads.
 struct Ctx {
@@ -510,10 +501,13 @@ fn retrieval(cx: &Ctx) -> Report {
     r
 }
 
-/// The TSVC frontier and single-threaded search config the `search`
-/// and `rerank` rows share. The full frontier runs a deep budget: depth
-/// is where the node table pays.
-fn frontier(cx: &Ctx) -> (usize, Vec<Benchmark>, SearchConfig) {
+/// The `search` row: the legality-guided engine pinned to the naive
+/// `search_reference` (recipe, program text and cost bits), then both
+/// timed single-threaded on the same strided TSVC frontier. The full
+/// frontier runs a deep budget: depth is where the node table pays.
+/// Each kernel's engine search scores through a fresh `CostEngine`,
+/// whose stats give the engine's dependence analyses.
+fn search(cx: &Ctx) -> Report {
     let (stride, beam, depth) = cx.pick((24, 2, 3), (10, 4, 6));
     let cfg = SearchConfig {
         beam,
@@ -521,28 +515,7 @@ fn frontier(cx: &Ctx) -> (usize, Vec<Benchmark>, SearchConfig) {
         threads: 1,
         ..SearchConfig::default()
     };
-    (
-        stride,
-        looprag_suites::suite_strided(Suite::Tsvc, stride),
-        cfg,
-    )
-}
-
-/// The frontier's shape fields.
-fn frontier_fields(r: &mut Report, n: usize, stride: usize, cfg: &SearchConfig) {
-    r.num("kernels", n);
-    r.num("stride", stride);
-    r.num("beam", cfg.beam);
-    r.num("depth", cfg.depth);
-}
-
-/// The `search` row: the legality-guided engine pinned to the naive
-/// `search_reference` (recipe, program text and cost bits), then both
-/// timed single-threaded on the same frontier. Each kernel's engine
-/// search scores through a fresh `CostEngine`, whose stats give the
-/// engine's dependence analyses.
-fn search(cx: &Ctx) -> Report {
-    let (stride, kernels, cfg) = frontier(cx);
+    let kernels = looprag_suites::suite_strided(Suite::Tsvc, stride);
     let (mut engine_ms, mut reference_ms) = (0.0f64, 0.0f64);
     let mut engine_stats = SearchStats::default();
     let mut reference_stats = SearchStats::default();
@@ -576,7 +549,10 @@ fn search(cx: &Ctx) -> Report {
     let speedup = reference_ms / engine_ms.max(1e-9);
 
     let mut r = Report::default();
-    frontier_fields(&mut r, kernels.len(), stride, &cfg);
+    r.num("kernels", kernels.len());
+    r.num("stride", stride);
+    r.num("beam", beam);
+    r.num("depth", depth);
     r.num("improved", improved);
     r.fixed("engine_ms", engine_ms, 1);
     r.fixed("reference_ms", reference_ms, 1);
@@ -631,113 +607,6 @@ fn serve(cx: &Ctx) -> Report {
     r.num("serve_snapshot_bytes", s.snapshot_bytes);
     r.fixed("serve_restore_ms", s.restore_ms, 1);
     r.gate("serve warm speedup (x)", s.warm_speedup, 20.0);
-    r
-}
-
-/// The `rerank` row: trains the step reranker on the whole frontier
-/// (the feedback loop's deployment shape: a campaign mines winners from
-/// the workload it serves), then runs ranker-off vs ranker-on searches
-/// over it, each on a fresh cost engine so neither scores from a cache
-/// the other warmed. Training scores through `CostEngine::global()`, so
-/// it starts cold too: `train_ms` must not read what earlier rows left.
-fn rerank(cx: &Ctx) -> Report {
-    let (stride, kernels, base_cfg) = frontier(cx);
-    let programs: Vec<Program> = kernels.iter().map(Benchmark::program).collect();
-    CostEngine::global().clear();
-    let t0 = Instant::now();
-    let examples: Vec<_> = programs
-        .iter()
-        .flat_map(|p| rank_training_examples(p, &base_cfg))
-        .collect();
-    let model = RankModel::fit(&examples);
-    let train_ms = elapsed_ms(t0);
-
-    let mut reversed = examples.clone();
-    reversed.reverse();
-    assert_eq!(
-        model,
-        RankModel::fit(&reversed),
-        "RankModel::fit depends on training-record input order"
-    );
-    assert_eq!(
-        model,
-        train_rank_model(&programs, &base_cfg),
-        "train_rank_model diverged from the inline trace + fit"
-    );
-    let model_json = model.to_json().expect("rank model to_json");
-    let reloaded = RankModel::from_json(&model_json).expect("rank model from_json");
-    assert_eq!(
-        model_json,
-        reloaded.to_json().expect("reloaded rank model to_json"),
-        "rank model JSON round-trip is not byte-stable"
-    );
-
-    let mut r = Report::default();
-    frontier_fields(&mut r, kernels.len(), stride, &base_cfg);
-    r.num("train_kernels", programs.len());
-    r.num("train_examples", examples.len());
-    r.fixed("train_ms", train_ms, 1);
-    r.num("model_cells", model.len());
-    r.num("model_observations", model.observations());
-    r.num(
-        "model_fingerprint",
-        format!("\"{:016x}\"", model.fingerprint()),
-    );
-    let rank = RankConfig::new(model);
-    r.num("keep_fraction", rank.keep_fraction);
-    let mut on_cfg = base_cfg.clone();
-    on_cfg.rank = Some(rank);
-
-    let (mut off_ms, mut on_ms) = (0.0f64, 0.0f64);
-    let mut off_stats = SearchStats::default();
-    let mut on_stats = SearchStats::default();
-    let (mut cost_off, mut cost_on) = (0.0f64, 0.0f64);
-    let (mut improved, mut regressed) = (0usize, 0usize);
-    for (b, p) in kernels.iter().zip(&programs) {
-        let t0 = Instant::now();
-        let off = search_with_engine(p, &base_cfg, &CostEngine::new());
-        off_ms += elapsed_ms(t0);
-        let t0 = Instant::now();
-        let on = search_with_engine(p, &on_cfg, &CostEngine::new());
-        on_ms += elapsed_ms(t0);
-        for pool in [2usize, 8] {
-            let mut pcfg = on_cfg.clone();
-            pcfg.threads = pool;
-            assert_eq!(
-                on.fingerprint(),
-                search_with_engine(p, &pcfg, &CostEngine::new()).fingerprint(),
-                "ranker-on search diverged at pool size {pool} on {}",
-                b.name
-            );
-        }
-        improved += usize::from(on.cost < off.cost);
-        regressed += usize::from(on.cost > off.cost);
-        cost_off += off.cost;
-        cost_on += on.cost;
-        off_stats += off.stats;
-        on_stats += on.stats;
-    }
-    let wall_ratio = off_ms / on_ms.max(1e-9);
-    let scored_ratio = off_stats.scored as f64 / (on_stats.scored as f64).max(1.0);
-    let cost_ratio = cost_off / cost_on.max(1e-9);
-
-    r.fixed("off_ms", off_ms, 1);
-    r.fixed("on_ms", on_ms, 1);
-    r.fixed("rerank_wall_speedup", wall_ratio, 2);
-    r.num("off_scored", off_stats.scored);
-    r.num("on_scored", on_stats.scored);
-    r.fixed("rerank_scored_ratio", scored_ratio, 2);
-    r.num("on_rank_pruned", on_stats.rank_pruned);
-    r.num("off_steps_enumerated", off_stats.steps_enumerated);
-    r.num("on_steps_enumerated", on_stats.steps_enumerated);
-    r.fixed("cost_off_total", cost_off, 0);
-    r.fixed("cost_on_total", cost_on, 0);
-    r.fixed("rerank_cost_ratio", cost_ratio, 4);
-    r.num("improved", improved);
-    r.num("regressed", regressed);
-    r.gate("rerank cost ratio", cost_ratio, 1.0);
-    r.gate("rerank estimate_cost saving (x)", scored_ratio, 1.5);
-    r.gate("rerank wall speedup (x)", wall_ratio, 1.5);
     r
 }
 

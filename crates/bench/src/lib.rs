@@ -10,12 +10,10 @@
 pub mod experiments;
 pub mod harness;
 pub mod observe;
-pub mod rank;
 pub mod serve;
 
 pub use harness::{run_campaign, run_feedback_campaign, EvalOptions, Harness, KernelResult};
 pub use observe::{
     representative_trace, snapshot_meta, write_chrome_trace, SNAPSHOT_SCHEMA_VERSION,
 };
-pub use rank::{mined_training_programs, train_rank_model, train_rank_model_from_mined};
 pub use serve::{run_serve_campaign, zipf_workload, ServeReport};

@@ -78,8 +78,7 @@ pub struct LoopRagConfig {
     /// (every model call and candidate test charges one unit), which
     /// mirrors the paper's per-kernel generation time limits while
     /// keeping outcomes reproducible regardless of machine load or
-    /// thread count; a wall-clock policy is available for deployments
-    /// that want the literal limit.
+    /// thread count.
     pub budget: BudgetPolicy,
     /// Worker-pool size for the parallel stages. 0 = auto: the
     /// `LOOPRAG_THREADS` environment variable, falling back to the
@@ -102,13 +101,6 @@ pub struct LoopRagConfig {
     /// search-free run. With `k = 0` this becomes the search-only
     /// scenario arm: no model calls, only the search winner is tested.
     pub search: Option<SearchConfig>,
-    /// Learned reranker for the hybrid search arm: when set, the beam
-    /// search injected by [`LoopRagConfig::search`] scores, reorders
-    /// and prunes each node's step grid with this model before paying
-    /// for legality checks and cost estimates (see `looprag_rank`).
-    /// Ignored when `search` is `None`. The default `None` keeps every
-    /// fixed-seed outcome byte-identical to a ranker-free build.
-    pub rank: Option<looprag_rank::RankConfig>,
 }
 
 impl LoopRagConfig {
@@ -129,7 +121,6 @@ impl LoopRagConfig {
             threads: 0,
             feedback: false,
             search: None,
-            rank: None,
         }
     }
 
@@ -160,26 +151,17 @@ impl LoopRagConfig {
             threads: _, // no effect on outcomes, by the determinism contract
             feedback,
             search,
-            rank,
         } = self;
         let budget = match budget {
             BudgetPolicy::Unlimited => "unlimited".to_string(),
             BudgetPolicy::VirtualCost { limit } => format!("vc{limit}"),
-            BudgetPolicy::WallClock { limit } => format!("wc{}ns", limit.as_nanos()),
         };
         let search = match search {
             None => "none".to_string(),
             Some(s) => s.fingerprint(),
         };
-        // Appended only when set, so ranker-free fingerprints — and the
-        // serve memo keys derived from them — are byte-identical to
-        // builds that predate the reranker.
-        let rank = match rank {
-            None => String::new(),
-            Some(r) => format!("|{}", r.fingerprint()),
-        };
         format!(
-            "cfg:s{seed}|k{k}|r{retrieval:?}|n{top_n}|d{demos}|sf{:016x}|ss{single_shot}|b{budget}|fb{feedback}|{}|{}|{}|{search}{rank}",
+            "cfg:s{seed}|k{k}|r{retrieval:?}|n{top_n}|d{demos}|sf{:016x}|ss{single_shot}|b{budget}|fb{feedback}|{}|{}|{}|{search}",
             slow_factor.to_bits(),
             profile.fingerprint(),
             machine.fingerprint(),
@@ -655,12 +637,6 @@ impl LoopRag {
         let work: Vec<(&Option<Program>, TestPlan)> =
             batch.items.iter().map(|(_, p)| p).zip(plans).collect();
         let cfg = &self.config;
-        // Under the (nondeterministic, opt-in) wall-clock policy the
-        // deadline is also re-checked per candidate mid-flight, so the
-        // overshoot stays bounded by the in-progress tests rather than
-        // a whole batch. The deterministic policies return `None` and
-        // are unaffected.
-        let deadline = budget.deadline();
         // Per-candidate trace events go to a child recorder inside the
         // closure and are absorbed in submission order below, so the
         // logical stream is identical at any pool size (the same merge
@@ -669,31 +645,27 @@ impl LoopRag {
             let child = looprag_trace::local(rec);
             let out = match (plan, prog) {
                 (TestPlan::Test, Some(p)) => {
-                    if deadline.is_some_and(|d| std::time::Instant::now() > d) {
-                        Some((TestVerdict::Timeout, 0.0))
+                    let _s = looprag_trace::span(child.as_ref(), "test.candidate", || {
+                        format!("slot={i}")
+                    });
+                    let verdict = prepared.differential_test(p, &cfg.eqcheck);
+                    let speedup = if verdict == TestVerdict::Pass {
+                        // Slower-than-threshold candidates come back as
+                        // 0: passing but inefficient.
+                        candidate_speedup(orig_cost, p, &cfg.machine, cfg.slow_factor)
                     } else {
-                        let _s = looprag_trace::span(child.as_ref(), "test.candidate", || {
-                            format!("slot={i}")
-                        });
-                        let verdict = prepared.differential_test(p, &cfg.eqcheck);
-                        let speedup = if verdict == TestVerdict::Pass {
-                            // Slower-than-threshold candidates come
-                            // back as 0: passing but inefficient.
-                            candidate_speedup(orig_cost, p, &cfg.machine, cfg.slow_factor)
-                        } else {
-                            0.0
+                        0.0
+                    };
+                    looprag_trace::instant(child.as_ref(), "test.verdict", || {
+                        let tag = match &verdict {
+                            TestVerdict::Pass => "pass",
+                            TestVerdict::IncorrectAnswer { .. } => "incorrect",
+                            TestVerdict::RuntimeError { .. } => "runtime_error",
+                            TestVerdict::Timeout => "timeout",
                         };
-                        looprag_trace::instant(child.as_ref(), "test.verdict", || {
-                            let tag = match &verdict {
-                                TestVerdict::Pass => "pass",
-                                TestVerdict::IncorrectAnswer { .. } => "incorrect",
-                                TestVerdict::RuntimeError { .. } => "runtime_error",
-                                TestVerdict::Timeout => "timeout",
-                            };
-                            format!("slot={i} verdict={tag} speedup={speedup}")
-                        });
-                        Some((verdict, speedup))
-                    }
+                        format!("slot={i} verdict={tag} speedup={speedup}")
+                    });
+                    Some((verdict, speedup))
                 }
                 (TestPlan::OverBudget, Some(_)) => {
                     looprag_trace::instant(child.as_ref(), "test.over_budget", || {
@@ -813,7 +785,6 @@ impl LoopRag {
             // must score under the same model or its "winner" could be
             // optimized for a different machine.
             scfg.machine = self.config.machine.clone();
-            scfg.rank = self.config.rank.clone();
             let found =
                 looprag_search::search_with_engine_traced(target, &scfg, CostEngine::global(), rec);
             search_expansions = found.stats.nodes_expanded as u64;

@@ -88,68 +88,6 @@ pub fn extract_features(p: &Program) -> Vec<StmtFeatures> {
     out
 }
 
-/// An integer-bucketed signature of a program's loop features, for the
-/// learned step reranker (`looprag-rank`): programs with the same
-/// structural shape — statement count, loop depth, subscript
-/// dimensionality, offset/global/coupled subscript flags, feature-item
-/// volume — share a signature, so speedup statistics mined on one
-/// kernel transfer to shape-alikes. Derived entirely from
-/// [`extract_features`] (the Eq. 2 machinery), so it inherits the
-/// renaming invariance pinned by the feature tests.
-///
-/// Bit layout (low to high): statement-count bucket (3), max schedule
-/// depth (3), max subscript dims (3), write-offset flag (1),
-/// read-offset flag (1), global-subscript flag (1), coupled-subscript
-/// flag (1), feature-item-count log2 bucket (4).
-pub fn feature_signature(p: &Program) -> u32 {
-    let feats = extract_features(p);
-    let mut max_depth: u32 = 0;
-    let mut max_dims: u32 = 0;
-    let (mut w_off, mut r_off, mut global, mut coupled) = (false, false, false, false);
-    let mut items: u32 = 0;
-    for f in &feats {
-        for it in &f.schedule {
-            if let Some(d) = it.strip_prefix("depth:") {
-                if let Ok(d) = d.parse::<u32>() {
-                    max_depth = max_depth.max(d);
-                }
-            }
-        }
-        for it in &f.indexes {
-            items += 1;
-            // Item shape: `{kind}:{dim}:{parts}{c:+}` (see `index_items`).
-            if !it.ends_with("+0") {
-                if it.starts_with('W') {
-                    w_off = true;
-                } else {
-                    r_off = true;
-                }
-            }
-            if it.contains("g*") {
-                global = true;
-            }
-            if it.contains(',') {
-                coupled = true;
-            }
-            if let Some((dim, _)) = it.get(2..).and_then(|rest| rest.split_once(':')) {
-                if let Ok(d) = dim.parse::<u32>() {
-                    max_dims = max_dims.max(d + 1);
-                }
-            }
-        }
-    }
-    let bucket = |v: u32, max: u32| v.min(max);
-    let log2_bucket = bucket(32 - items.leading_zeros(), 15);
-    bucket(feats.len() as u32, 7)
-        | bucket(max_depth, 7) << 3
-        | bucket(max_dims, 7) << 6
-        | u32::from(w_off) << 9
-        | u32::from(r_off) << 10
-        | u32::from(global) << 11
-        | u32::from(coupled) << 12
-        | log2_bucket << 13
-}
-
 /// Multiset intersection size of two item lists.
 pub fn intersection_count(a: &[String], b: &[String]) -> usize {
     let mut counts = std::collections::HashMap::new();
@@ -220,26 +158,6 @@ mod tests {
         assert!(f[0].indexes.iter().any(|s| s.contains("-1")), "{f:?}");
         assert!(f[0].indexes.iter().any(|s| s.starts_with('W')));
         assert!(f[0].indexes.iter().any(|s| s.starts_with('R')));
-    }
-
-    #[test]
-    fn signatures_are_renaming_invariant_but_shape_sensitive() {
-        let sig = |src: &str| feature_signature(&compile(src, "t").unwrap());
-        let a = sig(
-            "param N = 8;\narray A[N];\nout A;\n#pragma scop\nfor (i = 1; i <= N - 1; i++) A[i] = A[i - 1] + 1.0;\n#pragma endscop\n",
-        );
-        let renamed = sig(
-            "param N = 8;\narray Z[N];\nout Z;\n#pragma scop\nfor (k = 1; k <= N - 1; k++) Z[k] = Z[k - 1] + 1.0;\n#pragma endscop\n",
-        );
-        assert_eq!(a, renamed, "renaming must not change the signature");
-        let deeper = sig(
-            "param N = 8;\narray A[N][N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) for (j = 0; j <= N - 1; j++) A[i][j] = 1.0;\n#pragma endscop\n",
-        );
-        assert_ne!(a, deeper, "depth and dims must separate shapes");
-        let no_offset = sig(
-            "param N = 8;\narray A[N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) A[i] = A[i] + 1.0;\n#pragma endscop\n",
-        );
-        assert_ne!(a, no_offset, "offset reads must separate shapes");
     }
 
     #[test]

@@ -35,8 +35,6 @@ mod knowledge;
 mod lascore;
 
 pub use bm25::{tokenize, Bm25Index, Bm25Params};
-pub use features::{
-    extract_features, feature_signature, intersection_count, StmtFeatures, NUM_FEATURE_TYPES,
-};
+pub use features::{extract_features, intersection_count, StmtFeatures, NUM_FEATURE_TYPES};
 pub use knowledge::KnowledgeBase;
 pub use lascore::{weighted_score, LaWeights, RetrievalMode, Retriever};

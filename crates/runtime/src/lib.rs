@@ -23,7 +23,6 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Environment variable overriding the worker-pool size when the
 /// configured size is 0 (auto).
@@ -159,9 +158,7 @@ where
 /// The default pipeline budget is [`BudgetPolicy::VirtualCost`]: every
 /// model call and every candidate test charges a fixed number of units,
 /// so the skip/keep decisions are bit-for-bit reproducible on any
-/// machine at any thread count. [`BudgetPolicy::WallClock`] restores the
-/// paper's literal time limit for deployments that want it and accept
-/// the nondeterminism.
+/// machine at any thread count.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BudgetPolicy {
     /// Never exhausts.
@@ -170,11 +167,6 @@ pub enum BudgetPolicy {
     VirtualCost {
         /// Units available before the budget reports exhaustion.
         limit: u64,
-    },
-    /// Wall-clock time (nondeterministic; opt-in only).
-    WallClock {
-        /// Elapsed time after which the budget reports exhaustion.
-        limit: Duration,
     },
 }
 
@@ -196,20 +188,18 @@ impl BudgetPolicy {
 pub struct Budget {
     policy: BudgetPolicy,
     spent: Cell<u64>,
-    start: Instant,
 }
 
 impl Budget {
-    /// A fresh budget under `policy`; wall-clock budgets start now.
+    /// A fresh budget under `policy`.
     pub fn new(policy: BudgetPolicy) -> Self {
         Budget {
             policy,
             spent: Cell::new(0),
-            start: Instant::now(),
         }
     }
 
-    /// Records `units` of spend (ignored under `WallClock`).
+    /// Records `units` of spend.
     pub fn charge(&self, units: u64) {
         self.spent.set(self.spent.get().saturating_add(units));
     }
@@ -224,18 +214,6 @@ impl Budget {
         match &self.policy {
             BudgetPolicy::Unlimited => false,
             BudgetPolicy::VirtualCost { limit } => self.spent.get() >= *limit,
-            BudgetPolicy::WallClock { limit } => self.start.elapsed() >= *limit,
-        }
-    }
-
-    /// The absolute deadline when the policy is wall-clock based,
-    /// `None` otherwise. Unlike the budget itself this is plain `Sync`
-    /// data, so parallel stages can re-check it mid-flight — the
-    /// deterministic policies return `None` and stay unaffected.
-    pub fn deadline(&self) -> Option<Instant> {
-        match &self.policy {
-            BudgetPolicy::WallClock { limit } => Some(self.start + *limit),
-            _ => None,
         }
     }
 }
@@ -386,24 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_budget_uses_the_clock() {
-        let b = Budget::new(BudgetPolicy::WallClock {
-            limit: Duration::from_secs(3600),
-        });
-        b.charge(1_000_000);
-        assert!(!b.exhausted(), "virtual charges must not tick the clock");
-        assert!(b.deadline().is_some());
-        let zero = Budget::new(BudgetPolicy::WallClock {
-            limit: Duration::ZERO,
-        });
-        assert!(zero.exhausted());
-        assert!(Budget::new(BudgetPolicy::Unlimited).deadline().is_none());
-        assert!(Budget::new(BudgetPolicy::default_virtual())
-            .deadline()
-            .is_none());
-    }
-
-    #[test]
     fn pool_runs_workers_concurrently() {
         // A wall-clock-free concurrency proof: four workers each take
         // one item and block until all four have arrived. A pool that
@@ -411,6 +371,7 @@ mod tests {
         // the closure) would leave the first worker waiting alone until
         // the timeout, failing the assertion without hanging the suite.
         use std::sync::Condvar;
+        use std::time::Duration;
         const N: usize = 4;
         let arrivals = Mutex::new(0usize);
         let cv = Condvar::new();

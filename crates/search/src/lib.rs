@@ -73,8 +73,6 @@ pub use legality::step_legal;
 use looprag_dependence::{analyze_for, Purpose};
 use looprag_ir::{print_program, Program};
 use looprag_machine::{estimate_cost_reference, CostEngine, MachineConfig};
-use looprag_rank::{RankConfig, RankExample};
-use looprag_retrieval::feature_signature;
 use looprag_runtime::{par_map, resolve_threads};
 use looprag_transform::{
     enumerate_steps, enumerate_steps_into, Recipe, Step, StepGrid, StepGridPlan,
@@ -115,14 +113,6 @@ pub struct SearchConfig {
     /// identical at any pool size. (Also pipeline-overridden in the
     /// hybrid arm.)
     pub threads: usize,
-    /// Learned step reranker (`looprag-rank`): when set, each expanded
-    /// node's enumerated steps are scored against the model, visited in
-    /// predicted-best order (ties broken by catalog order) and pruned
-    /// to the config's keep-fraction *before* legality checks and
-    /// `estimate_cost`, so admission-index tie-breaks and beam/budget
-    /// truncation keep the predicted-best candidates. `None` (the
-    /// default) keeps the search byte-identical to a ranker-free build.
-    pub rank: Option<RankConfig>,
 }
 
 impl Default for SearchConfig {
@@ -133,7 +123,6 @@ impl Default for SearchConfig {
             grid: StepGrid::default(),
             machine: MachineConfig::gcc(),
             threads: 0,
-            rank: None,
         }
     }
 }
@@ -152,7 +141,6 @@ impl SearchConfig {
             grid,
             machine,
             threads: _, // no effect on results, by the determinism contract
-            rank,
         } = self;
         let StepGrid {
             tile_sizes,
@@ -166,14 +154,8 @@ impl SearchConfig {
                 .collect::<Vec<_>>()
                 .join(",")
         };
-        // `rank: None` must render to the exact pre-reranker string, so
-        // existing serve memo keys and snapshots stay byte-identical.
-        let rank = match rank {
-            None => String::new(),
-            Some(r) => format!("|{}", r.fingerprint()),
-        };
         format!(
-            "search:b{beam}|d{depth}|ts[{}]|mtd{max_tile_depth}|sk[{}]|rt{retile}|{}{rank}",
+            "search:b{beam}|d{depth}|ts[{}]|mtd{max_tile_depth}|sk[{}]|rt{retile}|{}",
             join(tile_sizes),
             join(skew_factors),
             machine.fingerprint(),
@@ -197,10 +179,6 @@ pub struct SearchStats {
     /// exactly one per search, not one per expanded node — pinned by a
     /// regression test so the hoist cannot silently regress.
     pub grid_plans: usize,
-    /// Steps discarded by the learned reranker's keep-fraction cut
-    /// (always 0 with `rank: None`). These never reach the legality
-    /// predicate, `Step::apply` or the cost engine.
-    pub rank_pruned: usize,
     /// Steps rejected by the legality predicate.
     pub pruned_illegal: usize,
     /// Steps actually applied (tree rewrites performed).
@@ -229,7 +207,6 @@ impl std::ops::AddAssign for SearchStats {
             expansions_reused,
             steps_enumerated,
             grid_plans,
-            rank_pruned,
             pruned_illegal,
             applied,
             admitted,
@@ -241,7 +218,6 @@ impl std::ops::AddAssign for SearchStats {
         self.expansions_reused += expansions_reused;
         self.steps_enumerated += steps_enumerated;
         self.grid_plans += grid_plans;
-        self.rank_pruned += rank_pruned;
         self.pruned_illegal += pruned_illegal;
         self.applied += applied;
         self.admitted += admitted;
@@ -310,9 +286,8 @@ struct SearchNode {
 }
 
 /// One node's expansion: the legal applied children (step, program,
-/// printed form) plus the enumerated, rank-pruned and
-/// legality-pruned step counts.
-type Expansion = (Vec<(Step, Program, String)>, usize, usize, usize);
+/// printed form) plus the enumerated and legality-pruned step counts.
+type Expansion = (Vec<(Step, Program, String)>, usize, usize);
 
 thread_local! {
     /// Per-worker scratch for step enumeration: the family × param grid
@@ -320,57 +295,6 @@ thread_local! {
     /// per-node `Vec<Step>` allocation of the old `enumerate_steps`
     /// call is paid once per worker instead of once per expansion.
     static STEP_SCRATCH: RefCell<Vec<Step>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The reranked visiting order of `steps` for a node with feature
-/// signature `sig`: indices sorted by (model score descending via
-/// `total_cmp`, catalog index ascending — so scoring ties keep catalog
-/// order and a constant-scoring model is a no-op reorder), then cut to
-/// the config's keep-fraction. Per-family floor: when the cut would
-/// silence a family entirely, that family's best-scoring step survives,
-/// so pruning narrows parameter grids before it can remove a whole
-/// transformation direction from the search.
-fn ranked_order(steps: &[Step], sig: u32, rank: &RankConfig) -> Vec<usize> {
-    let scores: Vec<f64> = steps
-        .iter()
-        .map(|s| rank.model.score(sig, s.family().index(), s.rank_param()))
-        .collect();
-    let mut order: Vec<usize> = (0..steps.len()).collect();
-    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-    let keep = rank.keep_count(steps.len());
-    if keep >= order.len() {
-        return order;
-    }
-    let mut keep_mask = vec![false; steps.len()];
-    let mut family_kept = [false; 8];
-    for &i in &order[..keep] {
-        keep_mask[i] = true;
-        family_kept[usize::from(steps[i].family().index())] = true;
-    }
-    for &i in &order[keep..] {
-        let f = usize::from(steps[i].family().index());
-        // The winner-protection guard: a step whose exact cell ever won
-        // in training is never pruned, so on a workload the training
-        // traces covered, every step of every winning path survives —
-        // the ranker can only drop never-winners there, which is why
-        // ranker-on final costs stay equal-or-better. The per-family
-        // floor then keeps at least one step per represented family so
-        // pruning narrows parameter grids before silencing a family.
-        if rank
-            .model
-            .ever_won(sig, steps[i].family().index(), steps[i].rank_param())
-        {
-            family_kept[f] = true;
-            keep_mask[i] = true;
-            continue;
-        }
-        if !family_kept[f] {
-            family_kept[f] = true;
-            keep_mask[i] = true;
-        }
-    }
-    order.retain(|&i| keep_mask[i]);
-    order
 }
 
 /// Ranks `pool` (node indices) by `(cost, admission index)` and keeps
@@ -389,10 +313,10 @@ fn select_frontier(pool: &mut Vec<usize>, costs: impl Fn(usize) -> f64, beam: us
 /// scoring the same candidates) share one cross-stage cache; the
 /// legality queries read the dependence sets the engine computed while
 /// scoring. An isolated [`CostEngine::new`] instance exists for fair
-/// A/B timing (the `perf_snapshot` rerank row gives the ranker-on and
-/// ranker-off arms one fresh engine each, so neither arm scores against
-/// the other's warm cache). Results are bit-identical either way —
-/// cached and fresh engine estimates are pinned equal.
+/// timing (the `perf_snapshot` search row gives each kernel a fresh
+/// engine, so no search scores against a cache an earlier one warmed).
+/// Results are bit-identical either way — cached and fresh engine
+/// estimates are pinned equal.
 pub fn search_with_engine(p: &Program, cfg: &SearchConfig, engine: &CostEngine) -> SearchResult {
     search_with_engine_traced(p, cfg, engine, None)
 }
@@ -462,26 +386,16 @@ pub fn search_with_engine_traced(
 
         // Expansion: fetch the node's dependence set from the engine,
         // enumerate (into the worker's reusable scratch buffer),
-        // rerank/prune when a model is wired in, legality-prune (before
-        // applying!), apply, print. Pure per node, so it shards
-        // with an order-preserving merge; with `rank` set the children
-        // come back in ranker order, so the admission-index tie-break
-        // below prefers predicted-best candidates.
+        // legality-prune (before applying!), apply, print. Pure per
+        // node, so it shards with an order-preserving merge.
         let expansions: Vec<Expansion> = par_map(threads, &to_expand, |_, &ni| {
             let n = &nodes[ni];
             let deps = engine.deps(&n.program);
             STEP_SCRATCH.with_borrow_mut(|steps| {
                 enumerate_steps_into(&n.program, &plan, steps);
-                let total = steps.len();
-                let order: Vec<usize> = match &cfg.rank {
-                    Some(rank) => ranked_order(steps, feature_signature(&n.program), rank),
-                    None => (0..total).collect(),
-                };
-                let rank_pruned = total - order.len();
                 let mut pruned = 0usize;
                 let mut kids = Vec::new();
-                for &si in &order {
-                    let step = &steps[si];
+                for step in steps.iter() {
                     if !step_legal(&n.program, &deps, step) {
                         pruned += 1;
                         continue;
@@ -491,7 +405,7 @@ pub fn search_with_engine_traced(
                         kids.push((step.clone(), prog, printed));
                     }
                 }
-                (kids, total, rank_pruned, pruned)
+                (kids, steps.len(), pruned)
             })
         });
         stats.nodes_expanded += to_expand.len();
@@ -500,15 +414,14 @@ pub fn search_with_engine_traced(
         // Sequential merge: admit first occurrences of never-seen
         // programs to the node table.
         let mut admitted: Vec<usize> = Vec::new();
-        for (&from, (kids, total, rank_pruned, pruned)) in to_expand.iter().zip(expansions) {
+        for (&from, (kids, total, pruned)) in to_expand.iter().zip(expansions) {
             looprag_trace::instant(rec, "search.expand", || {
                 format!(
-                    "node={from} kids={} enumerated={total} rank_pruned={rank_pruned} illegal={pruned}",
+                    "node={from} kids={} enumerated={total} illegal={pruned}",
                     kids.len()
                 )
             });
             stats.steps_enumerated += total;
-            stats.rank_pruned += rank_pruned;
             stats.pruned_illegal += pruned;
             stats.applied += kids.len();
             for (step, program, printed) in kids {
@@ -710,120 +623,6 @@ pub fn search_reference(p: &Program, cfg: &SearchConfig) -> SearchResult {
         speedup,
         stats,
     }
-}
-
-/// Runs a sequential trace-collecting beam search over `p` and returns
-/// one [`RankExample`] per (node, step) decision: children are labelled
-/// with the observed `parent_cost / child_cost` speedup, while steps
-/// the legality predicate rejects — or that fail to apply or to cost —
-/// are recorded as losers with speedup 0, so a model fitted on these
-/// traces learns both which grid cells win and which are likely
-/// illegal on programs of that feature shape.
-///
-/// This is the training-data collector behind
-/// `looprag_bench::train_rank_model`. It deliberately ignores
-/// `cfg.rank` (traces are collected un-reranked, so a model never
-/// trains on its own pruning) and `cfg.threads` (strictly sequential;
-/// the example sequence is a pure function of `(program, config)`, and
-/// [`looprag_rank::RankModel::fit`] is input-order invariant anyway).
-pub fn rank_training_examples(p: &Program, cfg: &SearchConfig) -> Vec<RankExample> {
-    let beam = cfg.beam.max(1);
-    let engine = CostEngine::global();
-    let mut examples = Vec::new();
-    let base_cost = engine
-        .estimate(p, &cfg.machine)
-        .map(|r| r.cycles)
-        .unwrap_or(f64::INFINITY);
-    if !base_cost.is_finite() {
-        return examples;
-    }
-    let plan = StepGridPlan::new(&cfg.grid);
-    struct TraceNode {
-        program: Program,
-        cost: f64,
-        signature: u32,
-        expanded: bool,
-    }
-    let mut nodes: Vec<TraceNode> = vec![TraceNode {
-        program: p.clone(),
-        cost: base_cost,
-        signature: feature_signature(p),
-        expanded: false,
-    }];
-    let mut by_printed: HashMap<String, usize> = HashMap::new();
-    by_printed.insert(print_program(p), 0);
-    let mut frontier: Vec<usize> = vec![0];
-    let mut steps: Vec<Step> = Vec::new();
-    for _level in 0..cfg.depth {
-        let to_expand: Vec<usize> = frontier
-            .iter()
-            .copied()
-            .filter(|&i| !nodes[i].expanded)
-            .collect();
-        if to_expand.is_empty() {
-            break;
-        }
-        let mut admitted: Vec<usize> = Vec::new();
-        for &ni in &to_expand {
-            nodes[ni].expanded = true;
-            let parent = nodes[ni].program.clone();
-            let parent_deps = engine.deps(&parent);
-            let parent_cost = nodes[ni].cost;
-            let signature = nodes[ni].signature;
-            enumerate_steps_into(&parent, &plan, &mut steps);
-            for step in &steps {
-                let (family, param) = (step.family().index(), step.rank_param());
-                let mut example = RankExample {
-                    signature,
-                    family,
-                    param,
-                    speedup: 0.0,
-                };
-                if !step_legal(&parent, &parent_deps, step) {
-                    examples.push(example);
-                    continue;
-                }
-                let Ok(prog) = step.apply(&parent) else {
-                    examples.push(example);
-                    continue;
-                };
-                let printed = print_program(&prog);
-                if let Some(&idx) = by_printed.get(&printed) {
-                    // A duplicate is still a fresh observation of what
-                    // this step does from this parent.
-                    let child_cost = nodes[idx].cost;
-                    if child_cost.is_finite() && child_cost > 0.0 {
-                        example.speedup = parent_cost / child_cost;
-                    }
-                    examples.push(example);
-                    continue;
-                }
-                let child_cost = engine
-                    .estimate(&prog, &cfg.machine)
-                    .map(|r| r.cycles)
-                    .unwrap_or(f64::INFINITY);
-                if child_cost.is_finite() && child_cost > 0.0 {
-                    example.speedup = parent_cost / child_cost;
-                    let idx = nodes.len();
-                    by_printed.insert(printed, idx);
-                    let signature = feature_signature(&prog);
-                    nodes.push(TraceNode {
-                        program: prog,
-                        cost: child_cost,
-                        signature,
-                        expanded: false,
-                    });
-                    admitted.push(idx);
-                }
-                examples.push(example);
-            }
-        }
-        let mut pool = frontier;
-        pool.extend(admitted);
-        select_frontier(&mut pool, |i| nodes[i].cost, beam);
-        frontier = pool;
-    }
-    examples
 }
 
 /// The legality-filtered children of `p` — the exact candidate set the

@@ -69,8 +69,7 @@
 //!   "dataset": { "examples": [ ... incl. mined records ... ] },
 //!   "memo": [ { "kernel": "...", "passed": true, "speedup": 2.5,
 //!               "best": "...", "llm_calls": 14,
-//!               "search_expansions": 0, "kb_fingerprint": "..." }, ... ],
-//!   "rank_model": "{...}"   // only when a reranker is configured
+//!               "search_expansions": 0, "kb_fingerprint": "..." }, ... ]
 //! }
 //! ```
 //!
@@ -82,7 +81,6 @@
 
 use looprag_core::{LoopRag, LoopRagConfig, OptimizationOutcome};
 use looprag_ir::{compile, parse_program, print_program, Program};
-use looprag_rank::RankModel;
 use looprag_runtime::{par_map, resolve_threads};
 use looprag_synth::Dataset;
 use looprag_trace::Recorder;
@@ -618,7 +616,7 @@ impl Server {
                 ])
             })
             .collect();
-        let mut fields = vec![
+        let doc = Value::Object(vec![
             ("format_version".into(), Value::Int(SNAPSHOT_VERSION)),
             (
                 "machine_fingerprint".into(),
@@ -631,19 +629,7 @@ impl Server {
             ),
             ("dataset".into(), dataset),
             ("memo".into(), Value::Array(memo)),
-        ];
-        // The rank model rides the snapshot so a restore can verify it
-        // was trained on the same model the arm fingerprint promises.
-        // Emitted only when a reranker is configured: ranker-free
-        // snapshots stay byte-identical to pre-reranker builds.
-        if let Some(rank) = &self.engine.config().rank {
-            let model = rank
-                .model
-                .to_json()
-                .map_err(|e| format!("snapshot: rank model serialization failed: {e}"))?;
-            fields.push(("rank_model".into(), Value::Str(model)));
-        }
-        let doc = Value::Object(fields);
+        ]);
         serde_json::to_string(&doc).map_err(|e| format!("snapshot: JSON write failed: {e}"))
     }
 
@@ -693,35 +679,6 @@ impl Server {
         }
         let snap_kb_fp = u64::from_str_radix(str_field("kb_fingerprint")?, 16)
             .map_err(|e| format!("restore: bad kb_fingerprint: {e}"))?;
-        match (&config.rank, doc.get("rank_model")) {
-            (None, None) => {}
-            (None, Some(_)) => {
-                return Err(
-                    "restore: snapshot carries a rank_model but this server has no reranker configured"
-                        .to_string(),
-                );
-            }
-            (Some(_), None) => {
-                return Err(
-                    "restore: snapshot is missing the rank_model this server's reranker requires"
-                        .to_string(),
-                );
-            }
-            (Some(rank), Some(Value::Str(stored))) => {
-                let model = RankModel::from_json(stored)
-                    .map_err(|e| format!("restore: corrupt rank_model: {e}"))?;
-                if model != *rank.model {
-                    return Err(format!(
-                        "restore: rank model mismatch: snapshot stores model {:016x} but this server is configured with {:016x}",
-                        model.fingerprint(),
-                        rank.model.fingerprint()
-                    ));
-                }
-            }
-            (Some(_), Some(_)) => {
-                return Err("restore: rank_model must be a string".to_string());
-            }
-        }
 
         let dataset_value = doc
             .get("dataset")

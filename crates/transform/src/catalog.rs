@@ -323,42 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_params_bucket_the_grid() {
-        // Tile params: depth x log2(size) buckets, disjoint per depth.
-        let t = |depth, size| {
-            Step::Tile {
-                path: vec![0],
-                depth,
-                size,
-            }
-            .rank_param()
-        };
-        assert_eq!(t(1, 8), 8 + 3);
-        assert_eq!(t(1, 32), 8 + 5);
-        assert_eq!(t(2, 8), 16 + 3);
-        assert_eq!(t(9, 1 << 40), 3 * 8 + 7, "clamped");
-        // Parallelize and Serialize share a family but not a bucket.
-        let par = Step::Parallelize { path: vec![0] };
-        let ser = Step::Serialize { path: vec![0] };
-        assert_eq!(par.family(), ser.family());
-        assert_ne!(par.rank_param(), ser.rank_param());
-        // Family indexes enumerate `Family::all()` in order.
-        for (i, f) in Family::all().into_iter().enumerate() {
-            assert_eq!(usize::from(f.index()), i);
-        }
-        // Signed skew factors get disjoint buckets.
-        let sk = |factor| {
-            Step::Skew {
-                path: vec![0],
-                factor,
-            }
-            .rank_param()
-        };
-        assert_ne!(sk(1), sk(-1));
-        assert_eq!(sk(5), sk(3), "clamped");
-    }
-
-    #[test]
     fn offset_siblings_enumerate_shift_fusion() {
         let steps = steps_of(
             "param N = 32;\narray A[N + 4];\narray B[N + 4];\nout B;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) A[i] = 2.0;\nfor (j = 2; j <= N + 1; j++) B[j] = A[j - 2] + 1.0;\n#pragma endscop\n",

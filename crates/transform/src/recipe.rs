@@ -116,40 +116,6 @@ impl Step {
             Step::Scalarize { .. } => Family::Scalarization,
         }
     }
-
-    /// The step's parameter bucket for the learned reranker
-    /// (`looprag-rank`): a small integer abstracting the step's grid
-    /// parameters — but never its tree path, which is position- not
-    /// shape-information — so speedup statistics pool across loop nests.
-    /// Variants sharing a family get disjoint bucket ranges (Serialize
-    /// vs Parallelize, Shift vs ShiftFuse), so the model can learn that
-    /// one member of a family wins while its sibling loses.
-    pub fn rank_param(&self) -> u8 {
-        #[allow(clippy::cast_possible_truncation)]
-        match self {
-            Step::Tile { depth, size, .. } => {
-                // Depth (clamped to 3) × log2 size bucket (clamped to 7).
-                let d = (*depth).min(3) as u8;
-                let lg = (63 - size.max(&2).unsigned_abs().leading_zeros()).min(7) as u8;
-                d * 8 + lg
-            }
-            Step::Interchange { .. } => 0,
-            Step::Fuse { index, .. } => (*index).min(7) as u8,
-            Step::ShiftFuse { index, .. } => 8 + (*index).min(7) as u8,
-            Step::Distribute { at, .. } => (*at).min(7) as u8,
-            Step::Skew { factor, .. } => {
-                if *factor >= 0 {
-                    factor.min(&3).unsigned_abs() as u8
-                } else {
-                    4 + factor.max(&-3).unsigned_abs() as u8
-                }
-            }
-            Step::Shift { offset, .. } => 16 + offset.unsigned_abs().min(7) as u8,
-            Step::Parallelize { .. } => 0,
-            Step::Serialize { .. } => 1,
-            Step::Scalarize { .. } => 0,
-        }
-    }
 }
 
 impl fmt::Display for Step {
@@ -210,21 +176,6 @@ impl Family {
             Family::Parallelization,
             Family::Scalarization,
         ]
-    }
-
-    /// This family's position in [`Family::all`], as the reranker's
-    /// family key.
-    pub fn index(self) -> u8 {
-        match self {
-            Family::Tiling => 0,
-            Family::Interchange => 1,
-            Family::Skewing => 2,
-            Family::Fusion => 3,
-            Family::Distribution => 4,
-            Family::Shifting => 5,
-            Family::Parallelization => 6,
-            Family::Scalarization => 7,
-        }
     }
 }
 

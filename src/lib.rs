@@ -17,7 +17,6 @@
 //! * [`looprag_baselines`] — baseline compiler models
 //! * [`looprag_suites`] — PolyBench/TSVC/LORE kernels
 //! * [`looprag_search`] — legality-guided beam search over recipes
-//! * [`looprag_rank`] — learned step reranker trained from mined feedback
 //! * [`looprag_core`] — the end-to-end pipeline
 //! * [`looprag_serve`] — optimization-as-a-service with a verified-winner memo
 //! * [`looprag_trace`] — deterministic tracing and the metrics registry
@@ -45,7 +44,6 @@ pub use looprag_ir;
 pub use looprag_llm;
 pub use looprag_machine;
 pub use looprag_polyopt;
-pub use looprag_rank;
 pub use looprag_retrieval;
 pub use looprag_runtime;
 pub use looprag_search;

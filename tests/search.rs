@@ -90,7 +90,6 @@ fn expansion_counters_stay_at_the_hoisted_baseline() {
         "s000 cfg(3,3,1) scored {} estimates, baseline 11",
         r.stats.scored
     );
-    assert_eq!(r.stats.rank_pruned, 0, "no ranker configured");
 }
 
 /// The search arm finds genuine wins on vectorizable/parallel kernels.

@@ -143,3 +143,43 @@ fn service_wrapper_shares_the_memo_across_callers() {
     assert_eq!(second[0].speedup.to_bits(), first[0].speedup.to_bits());
     assert_eq!(service.with(Server::memo_len), 1);
 }
+
+/// The default search, default LLM arm and serve-hybrid arm
+/// fingerprints, byte for byte. They are the arm component of every
+/// serve memo key and the `arm_fingerprint` a snapshot restore checks,
+/// so a config field that drops out of (or slips into) a fingerprint
+/// fails here before it can orphan memo entries or refuse snapshots.
+#[test]
+fn config_fingerprints_are_pinned_byte_for_byte() {
+    use looprag::looprag_core::SearchConfig;
+    const SEARCH: &str = "search:b4|d3|ts[8,32]|mtd3|sk[1]|rtfalse|gcc;48;4010000000000000;\
+        3fe0000000000000;3fe8000000000000;4096/64/4;32768/64/8;4;14;120;2;3000;3fe8000000000000;\
+        120000000";
+    const DEFAULT_ARM: &str = "cfg:s269175405|k7|rLoopAware|n10|d3|sf4049000000000000|ssfalse|\
+        bvc10000|fbfalse|llm:deepseek|sk:Tiling=3fc1eb851eb851ec,Interchange=3fdccccccccccccd,\
+        Skewing=3f9eb851eb851eb8,Fusion=3fdccccccccccccd,Distribution=3fc70a3d70a3d70a,\
+        Shifting=3f9eb851eb851eb8,Parallelization=3fa47ae147ae147b,\
+        Scalarization=3fe3333333333333|la:3fe3333333333333|sy:3fbc28f5c28f5c29|\
+        se:3fc3333333333333|icl:3fed70a3d70a3d71|fb:3fea3d70a3d70a3d|pi:3fe4cccccccccccd|\
+        gcc;48;4010000000000000;3fe0000000000000;3fe8000000000000;4096/64/4;32768/64/8;4;14;\
+        120;2;3000;3fe8000000000000;120000000|eq:cap8|eps3eb0c6f7a0b5ed8d|sb20000000|none";
+    const HYBRID_ARM: &str = "cfg:s269175405|k7|rLoopAware|n10|d3|sf4049000000000000|ssfalse|\
+        bvc10000|fbtrue|llm:deepseek|sk:Tiling=3fc1eb851eb851ec,Interchange=3fdccccccccccccd,\
+        Skewing=3f9eb851eb851eb8,Fusion=3fdccccccccccccd,Distribution=3fc70a3d70a3d70a,\
+        Shifting=3f9eb851eb851eb8,Parallelization=3fa47ae147ae147b,\
+        Scalarization=3fe3333333333333|la:3fe3333333333333|sy:3fbc28f5c28f5c29|\
+        se:3fc3333333333333|icl:3fed70a3d70a3d71|fb:3fea3d70a3d70a3d|pi:3fe4cccccccccccd|\
+        gcc;48;4010000000000000;3fe0000000000000;3fe8000000000000;4096/64/4;32768/64/8;4;14;\
+        120;2;3000;3fe8000000000000;120000000|eq:cap8|eps3eb0c6f7a0b5ed8d|sb20000000|\
+        search:b4|d3|ts[8,32]|mtd3|sk[1]|rtfalse|gcc;48;4010000000000000;3fe0000000000000;\
+        3fe8000000000000;4096/64/4;32768/64/8;4;14;120;2;3000;3fe8000000000000;120000000";
+    let default_arm = LoopRagConfig::new(LlmProfile::deepseek());
+    let hybrid_arm = LoopRagConfig {
+        search: Some(SearchConfig::default()),
+        feedback: true,
+        ..default_arm.clone()
+    };
+    assert_eq!(SearchConfig::default().fingerprint(), SEARCH);
+    assert_eq!(default_arm.fingerprint(), DEFAULT_ARM);
+    assert_eq!(hybrid_arm.fingerprint(), HYBRID_ARM);
+}
