@@ -281,7 +281,10 @@ fn cost_bits(r: &Result<CostReport, CostError>) -> String {
 /// under a starved budget), then both timed on the campaign scoring
 /// shape: several arms each scoring every kernel's original,
 /// parallelized and tiled forms. The engine shares one cache across
-/// arms; the reference re-analyzes and re-simulates every call.
+/// arms; the reference re-analyzes and re-simulates every call. Each
+/// original goes through the engine before its parallelized form, so
+/// that form's pin (and its timed estimate) is priced from the
+/// original's walk record, not walked.
 fn costmodel(cx: &Ctx, r: &mut Report) {
     const ARMS: usize = 3;
     let kernels = strided(cx.pick(16, 4));
@@ -324,8 +327,10 @@ fn costmodel(cx: &Ctx, r: &mut Report) {
     let t0 = Instant::now();
     for _ in 0..ARMS {
         for program in variants.iter().flatten() {
-            // Parallel marks don't change dependences: the engine
-            // reuses the original's analysis for the parallelized form.
+            // Parallel marks change no dependence and nothing the
+            // walker simulates: the engine reuses the original's
+            // analysis and prices the parallelized form from the
+            // original's walk record.
             let _ = std::hint::black_box(engine.estimate(program, &cfg));
         }
     }

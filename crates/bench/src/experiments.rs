@@ -710,7 +710,8 @@ pub fn ablation_penalty(h: &Harness) {
     }
 }
 
-/// Runs every experiment.
+/// Runs every experiment, every ablation included: each distinct
+/// function [`EXPERIMENTS`] lists once.
 pub fn run_all(h: &Harness) {
     fig1(h);
     table1(h);
@@ -726,6 +727,7 @@ pub fn run_all(h: &Harness) {
     fig14(h);
     ablation_tile(h);
     ablation_penalty(h);
+    ablation_demos(h);
 }
 
 /// One experiment: prints its table or figure.

@@ -1,7 +1,7 @@
 //! The memoizing cost engine: fast cost estimation, bit-for-bit pinned
 //! to [`estimate_cost_reference`](crate::estimate_cost_reference).
 //!
-//! Four layers make estimates cheap without changing a single bit of
+//! Five layers make estimates cheap without changing a single bit of
 //! any result:
 //!
 //! 1. **A flat simulator, integer-exact leaf loops and line runs.** The
@@ -73,12 +73,40 @@
 //!    behind a mutex and deterministic by construction: a cached result
 //!    is bitwise equal to a fresh one, so hit/miss timing (and pool
 //!    scheduling) cannot change any outcome.
+//! 5. **Mark pricing.** A program that differs from one already walked
+//!    only in its `#pragma omp parallel for` marks — every
+//!    `Parallelize` and `Serialize` child the beam search scores — is
+//!    priced, not walked. *Exactness:* a mark is read in one place, at
+//!    the end of a loop execution ([`finish_loop`]): the outermost
+//!    marked loop divides its body cost by the effective thread count
+//!    and adds the spawn charge, and counts one parallel entry when it
+//!    ran. Nothing the walker simulates reads a mark: instance counts,
+//!    budget exhaustion, cache state, the steady-state and leaf paths,
+//!    vectorization and the dependence set are those of the unmarked
+//!    program. So each walk of a program without marks keeps a walk
+//!    record under its cost key: its result and, for every node
+//!    execution at loop depth 0 and 1 in walk order, the cost the node
+//!    returned or, for a loop, its trip count and its body cost before
+//!    the vector and parallel adjustments. A marked program is priced
+//!    from the record of its unmarked form (walked first if it has
+//!    none): replay re-runs the walker's per-iteration sums and
+//!    [`finish_loop`] on the recorded values, in the walker's order and
+//!    on the same operand bits, marking each outermost marked loop, so
+//!    the report is the walk's bit for bit. A failed walk prices every
+//!    marked form as the same error. *Refusals* (the program walks as
+//!    before): a mark at depth 2 or deeper with no marked loop above
+//!    it, a mark under a guard, and a depth-1 mark under a top-level
+//!    loop whose body was not recorded — one on the steady-state path
+//!    (its body-invariant iterations are replayed, not visited) or the
+//!    leaf path, or one whose body executions would take the record
+//!    past [`RECORD_CAP`].
 //!
 //! Fresh estimates report their work units to the metrics registry:
-//! `cost.instances_simulated` and `cost.accesses_simulated` count the
-//! statement instances and accesses actually simulated, so replayed
-//! iterations and cache hits add nothing, and accesses skipped in line
-//! runs add nothing to the access count.
+//! `cost.walks` counts the walks actually run, and
+//! `cost.instances_simulated` and `cost.accesses_simulated` the
+//! statement instances and accesses they simulated, so priced estimates,
+//! replayed iterations and cache hits add nothing, and accesses skipped
+//! in line runs add nothing to the access count.
 
 use crate::flat_cache::{FlatHierarchy, FlatState};
 use crate::model::{
@@ -113,6 +141,16 @@ const COST_CACHE_CAP: usize = 8192;
 
 /// Dependence-cache capacity before a wholesale clear.
 const DEPS_CACHE_CAP: usize = 2048;
+
+/// Walk-record capacity before a wholesale clear, in recorded
+/// executions (each record counting one more than it holds): at most
+/// about 0.8 MB of records.
+const RECORD_CACHE_CAP: usize = 16_384;
+
+/// Body executions of top-level loops one walk record holds at most (48
+/// bytes each). A top-level loop whose body executions would pass it is
+/// not recorded, so marks in its body walk.
+const RECORD_CAP: usize = 4096;
 
 /// Every integer of magnitude at most 2^53 is an exact `f64`, so a sum
 /// of integer-valued `f64`s whose partial sums all stay within it is
@@ -167,6 +205,9 @@ struct MemoModel<'a> {
     /// without a recurrence. At [`STEADY_FAILURE_CAP`] the node runs
     /// naively with zero snapshot overhead forever after.
     steady_failures: HashMap<usize, u32>,
+    /// The executions recorded so far by a recording walk
+    /// ([`MemoModel::visit_recorded`]).
+    rec: Option<Execs>,
 }
 
 /// `n` additions of `x` to a zero accumulator, in sequence.
@@ -196,6 +237,7 @@ impl<'a> MemoModel<'a> {
             cursors: Vec::new(),
             lines: Vec::new(),
             steady_failures: HashMap::new(),
+            rec: None,
         }
     }
 
@@ -274,82 +316,148 @@ impl<'a> MemoModel<'a> {
                 }
                 Ok(cost)
             }
-            LNode::Loop {
-                slot,
-                bounds: LoopBounds { lb, ub, step },
-                parallel,
-                vec_factor,
-                header_ovh,
-                body_invariant,
-                leaf,
-                body,
-            } => {
-                let lbv = lb.eval(&self.iters);
-                let ubv = ub.eval(&self.iters);
-                let header = *header_ovh as f64;
-                let mut cost = CostVec::default();
-                cost.ovh += header;
-                if ubv < lbv {
-                    return Ok(cost);
-                }
-                let trips = ((ubv - lbv) / step + 1) as u64;
-                let parallel_here = *parallel && !self.in_parallel;
-                if parallel_here {
-                    self.in_parallel = true;
-                    self.parallel_entries += 1;
-                }
-                while self.iters.len() <= *slot {
-                    self.iters.push(0);
-                }
-                let node_key = n as *const LNode as usize;
-                let range = (*slot, lbv, ubv, *step);
-                let res = if *body_invariant
-                    && trips >= MIN_STEADY_TRIPS
-                    && self.steady_failures.get(&node_key).copied().unwrap_or(0)
-                        < STEADY_FAILURE_CAP
-                {
-                    self.run_loop_steady(node_key, range, trips, header, body)
-                } else if let Some((shape, trips)) = leaf
-                    .as_deref()
-                    .and_then(|shape| Some((shape, leaf_trips(range, shape)?)))
-                {
-                    self.run_leaf(range, *header_ovh, shape, trips)
-                } else {
-                    self.run_loop_naive(range, header, body)
-                };
-                if parallel_here {
-                    self.in_parallel = false;
-                }
-                let mut body_cost = res?;
-                if let Some(factor) = vec_factor {
-                    body_cost.alu /= factor;
-                    body_cost.l1 /= factor;
-                    body_cost.ovh /= factor;
-                }
-                if parallel_here {
-                    let ideal = (self.cfg.threads as f64).min(trips as f64);
-                    let p_eff = (ideal * self.cfg.parallel_efficiency).max(1.0);
-                    body_cost.scale_all(1.0 / p_eff);
-                    body_cost.ovh += self.cfg.parallel_spawn_cycles as f64;
-                }
-                cost.add(body_cost);
-                Ok(cost)
-            }
+            LNode::Loop { .. } => Ok(self.visit_loop(n, false)?.0),
         }
     }
 
+    /// [`MemoModel::visit_nodes`] over the top-level nodes (`top`) or
+    /// over one iteration of a top-level loop's body, recording each
+    /// node's execution.
+    fn visit_recorded(&mut self, nodes: &[LNode], top: bool) -> Result<CostVec, CostError> {
+        let mut cost = CostVec::default();
+        for n in nodes {
+            let start = self.rec.as_ref().map_or(0, |r| r.inner.len());
+            let (c, exec, body_recorded) = match n {
+                LNode::Loop { .. } => self.visit_loop(n, top)?,
+                _ => {
+                    let c = self.visit_node(n)?;
+                    (c, Exec { trips: 0, cost: c }, false)
+                }
+            };
+            if let Some(rec) = &mut self.rec {
+                if top {
+                    let body = match n {
+                        LNode::Loop { body, .. } if body_recorded => {
+                            Some((start, body.iter().map(Kind::of).collect()))
+                        }
+                        _ => None,
+                    };
+                    rec.top.push(TopExec {
+                        exec,
+                        kind: Kind::of(n),
+                        body,
+                    });
+                } else {
+                    rec.inner.push(exec);
+                }
+            }
+            cost.add(c);
+        }
+        Ok(cost)
+    }
+
+    /// One execution of the loop `n`: the cost it returns, its
+    /// [`Exec`] (trips and body cost before the vector and parallel
+    /// adjustments), and whether its body's executions were recorded:
+    /// `record_body` asks for that, and only the trip-by-trip path
+    /// records, within [`RECORD_CAP`].
+    fn visit_loop(
+        &mut self,
+        n: &LNode,
+        record_body: bool,
+    ) -> Result<(CostVec, Exec, bool), CostError> {
+        let LNode::Loop {
+            slot,
+            bounds: LoopBounds { lb, ub, step },
+            parallel,
+            vec_factor,
+            header_ovh,
+            body_invariant,
+            leaf,
+            body,
+        } = n
+        else {
+            unreachable!("visit_loop takes a loop node")
+        };
+        let lbv = lb.eval(&self.iters);
+        let ubv = ub.eval(&self.iters);
+        let header = *header_ovh as f64;
+        if ubv < lbv {
+            let empty = Exec {
+                trips: 0,
+                cost: CostVec::default(),
+            };
+            return Ok((
+                finish_loop(self.cfg, header, empty, *vec_factor, false),
+                empty,
+                record_body,
+            ));
+        }
+        let trips = ((ubv - lbv) / step + 1) as u64;
+        let parallel_here = *parallel && !self.in_parallel;
+        if parallel_here {
+            self.in_parallel = true;
+            self.parallel_entries += 1;
+        }
+        while self.iters.len() <= *slot {
+            self.iters.push(0);
+        }
+        let node_key = n as *const LNode as usize;
+        let range = (*slot, lbv, ubv, *step);
+        // Record the body only while the record stays within its cap.
+        let record_body = record_body
+            && self.rec.as_ref().is_some_and(|r| {
+                let room = (RECORD_CAP - r.inner.len()) as u64;
+                trips
+                    .checked_mul(body.len() as u64)
+                    .is_some_and(|n| n <= room)
+            });
+        let (res, body_recorded) = if *body_invariant
+            && trips >= MIN_STEADY_TRIPS
+            && self.steady_failures.get(&node_key).copied().unwrap_or(0) < STEADY_FAILURE_CAP
+        {
+            (
+                self.run_loop_steady(node_key, range, trips, header, body),
+                false,
+            )
+        } else if let Some((shape, trips)) = leaf
+            .as_deref()
+            .and_then(|shape| Some((shape, leaf_trips(range, shape)?)))
+        {
+            (self.run_leaf(range, *header_ovh, shape, trips), false)
+        } else {
+            (
+                self.run_loop_naive(range, header, body, record_body),
+                record_body,
+            )
+        };
+        if parallel_here {
+            self.in_parallel = false;
+        }
+        let exec = Exec { trips, cost: res? };
+        let cost = finish_loop(self.cfg, header, exec, *vec_factor, parallel_here);
+        Ok((cost, exec, body_recorded))
+    }
+
+    /// The trip-by-trip path; with `record` (a top-level loop of a
+    /// recording walk) each body node's execution is recorded.
     fn run_loop_naive(
         &mut self,
         (slot, lbv, ubv, step): LoopRange,
         header: f64,
         body: &[LNode],
+        record: bool,
     ) -> Result<CostVec, CostError> {
         let mut body_cost = CostVec::default();
         let mut v = lbv;
         while v <= ubv {
             self.iters[slot] = v;
             body_cost.ovh += header;
-            body_cost.add(self.visit_nodes(body)?);
+            body_cost.add(if record {
+                self.visit_recorded(body, false)?
+            } else {
+                self.visit_nodes(body)?
+            });
             v += step;
         }
         Ok(body_cost)
@@ -681,6 +789,203 @@ fn leaf_trips((_, lbv, ubv, step): LoopRange, shape: &LeafShape) -> Option<u64> 
     (trips <= shape.max_trips).then_some(trips)
 }
 
+/// The cost one loop execution returns, from its [`Exec`]: the header
+/// charge, plus — unless it ran no iteration — its body cost divided by
+/// the vector factor and, for the outermost parallel loop
+/// (`parallel_here`), by the effective thread count, plus the spawn
+/// charge. The walker and pricing both end a loop here, so a priced
+/// cost is the walker's operations on the same operands.
+fn finish_loop(
+    cfg: &MachineConfig,
+    header: f64,
+    exec: Exec,
+    vec_factor: Option<f64>,
+    parallel_here: bool,
+) -> CostVec {
+    let mut cost = CostVec::default();
+    cost.ovh += header;
+    if exec.trips == 0 {
+        return cost;
+    }
+    let mut body = exec.cost;
+    if let Some(factor) = vec_factor {
+        body.alu /= factor;
+        body.l1 /= factor;
+        body.ovh /= factor;
+    }
+    if parallel_here {
+        let ideal = (cfg.threads as f64).min(exec.trips as f64);
+        let p_eff = (ideal * cfg.parallel_efficiency).max(1.0);
+        body.scale_all(1.0 / p_eff);
+        body.ovh += cfg.parallel_spawn_cycles as f64;
+    }
+    cost.add(body);
+    cost
+}
+
+// ---------------------------------------------------------------------
+// Walk records and mark pricing.
+// ---------------------------------------------------------------------
+
+/// One recorded node execution: for a statement or guard, the cost it
+/// returned; for a loop, its trip count (0 when it ran no iteration) and
+/// its body cost before the vector and parallel adjustments.
+#[derive(Debug, Clone, Copy)]
+struct Exec {
+    trips: u64,
+    cost: CostVec,
+}
+
+/// How pricing turns a recorded [`Exec`] back into the cost its node
+/// returned.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// A statement or guard: the recorded cost.
+    Fixed,
+    /// A loop with this vector factor: [`finish_loop`].
+    Loop(Option<f64>),
+}
+
+impl Kind {
+    fn of(n: &LNode) -> Kind {
+        match n {
+            LNode::Loop { vec_factor, .. } => Kind::Loop(*vec_factor),
+            _ => Kind::Fixed,
+        }
+    }
+}
+
+/// The one execution of a top-level node.
+#[derive(Debug)]
+struct TopExec {
+    exec: Exec,
+    kind: Kind,
+    /// For a loop walked trip by trip: where its body's executions start
+    /// in [`Execs::inner`] (body length × trips of them, iteration by
+    /// iteration) and each body node's kind. `None` on the steady-state
+    /// and leaf paths, which do not record their bodies, and for a body
+    /// whose executions would pass [`RECORD_CAP`].
+    body: Option<(usize, Box<[Kind]>)>,
+}
+
+/// The executions a walk recorded at depths 0 and 1.
+#[derive(Debug, Default)]
+struct Execs {
+    top: Vec<TopExec>,
+    /// The body executions of the top-level loops walked trip by trip,
+    /// in walk order: at most [`RECORD_CAP`].
+    inner: Vec<Exec>,
+}
+
+/// The walk record of a program without parallel marks on one machine:
+/// its result and the executions its marked forms are priced from
+/// (none when the walk failed).
+struct WalkRecord {
+    result: Result<CostReport, CostError>,
+    execs: Execs,
+}
+
+/// True when any loop in `nodes` carries a parallel mark.
+fn has_mark(nodes: &[Node]) -> bool {
+    nodes.iter().any(|n| match n {
+        Node::Loop(l) => l.parallel || has_mark(&l.body),
+        Node::If { then, .. } => has_mark(then),
+        Node::Stmt(_) => false,
+    })
+}
+
+/// True when every outermost parallel mark in `nodes`, at loop depth
+/// `depth`, is on a loop at depth 0 or 1 and under no guard: the marks
+/// pricing can take.
+fn priceable(nodes: &[Node], depth: u32) -> bool {
+    nodes.iter().all(|n| match n {
+        Node::Loop(l) => l.parallel || !has_mark(&l.body) || (depth == 0 && priceable(&l.body, 1)),
+        Node::If { then, .. } => !has_mark(then),
+        Node::Stmt(_) => true,
+    })
+}
+
+impl WalkRecord {
+    /// The record's weight against [`RECORD_CACHE_CAP`].
+    fn weight(&self) -> usize {
+        1 + self.execs.top.len() + self.execs.inner.len()
+    }
+
+    /// The report of `p`, a [`priceable`] marked form of the recorded
+    /// program, replayed from the record (module docs, layer 5); `None`
+    /// when the record cannot price it and `p` must be walked.
+    fn price(&self, p: &Program, cfg: &MachineConfig) -> Option<Result<CostReport, CostError>> {
+        let base = match &self.result {
+            Ok(base) => base,
+            // Marks change no instance count and no lowering: every
+            // marked form fails the same way.
+            Err(e) => return Some(Err(e.clone())),
+        };
+        let execs = &self.execs;
+        if p.body.len() != execs.top.len() {
+            return None;
+        }
+        let header = cfg.loop_overhead as f64;
+        let mut entries = 0u64;
+        let mut replay = |exec: Exec, vec_factor, parallel: bool| {
+            entries += u64::from(parallel && exec.trips > 0);
+            finish_loop(cfg, header, exec, vec_factor, parallel)
+        };
+        let mut total = CostVec::default();
+        for (n, t) in p.body.iter().zip(&execs.top) {
+            let cost = match (n, t.kind) {
+                (Node::Loop(l), Kind::Loop(vf)) if l.parallel || !has_mark(&l.body) => {
+                    replay(t.exec, vf, l.parallel)
+                }
+                (Node::Loop(l), Kind::Loop(vf)) => {
+                    // Marks in the body: re-sum each iteration from its
+                    // body's executions, as the trip-by-trip walk does.
+                    let (start, kinds) = t.body.as_ref()?;
+                    if kinds.len() != l.body.len() {
+                        return None;
+                    }
+                    let len = usize::try_from(t.exec.trips)
+                        .ok()?
+                        .checked_mul(kinds.len())?;
+                    let iters = execs.inner.get(*start..start.checked_add(len)?)?;
+                    let mut body = CostVec::default();
+                    for iter in iters.chunks(kinds.len()) {
+                        body.ovh += header;
+                        let mut c = CostVec::default();
+                        for ((node, e), kind) in l.body.iter().zip(iter).zip(kinds.iter()) {
+                            c.add(match (node, kind) {
+                                (Node::Loop(inner), Kind::Loop(vf)) => {
+                                    replay(*e, *vf, inner.parallel)
+                                }
+                                (Node::Loop(_), Kind::Fixed) => return None,
+                                _ => e.cost,
+                            });
+                        }
+                        body.add(c);
+                    }
+                    replay(
+                        Exec {
+                            trips: t.exec.trips,
+                            cost: body,
+                        },
+                        vf,
+                        false,
+                    )
+                }
+                (Node::Loop(_), Kind::Fixed) => return None,
+                _ => t.exec.cost,
+            };
+            total.add(cost);
+        }
+        Some(Ok(CostReport {
+            cycles: total.total(),
+            breakdown: total,
+            parallel_entries: entries,
+            ..base.clone()
+        }))
+    }
+}
+
 // ---------------------------------------------------------------------
 // The cross-stage engine.
 // ---------------------------------------------------------------------
@@ -693,6 +998,9 @@ pub struct CostEngineStats {
     pub cost_hits: u64,
     /// Cost queries computed fresh.
     pub cost_misses: u64,
+    /// Walks actually run: misses minus the ones priced from a walk
+    /// record, plus the walks of unmarked forms that pricing needed.
+    pub walks: u64,
     /// Dependence-set requests (from fresh estimates and
     /// [`CostEngine::deps`]) answered from the dependence cache.
     pub deps_reused: u64,
@@ -719,6 +1027,7 @@ pub struct CostEngineStats {
 struct EngineMetrics {
     cost_hits: looprag_trace::Counter,
     cost_misses: looprag_trace::Counter,
+    walks: looprag_trace::Counter,
     deps_reused: looprag_trace::Counter,
     deps_computed: looprag_trace::Counter,
     steady_loops: looprag_trace::Counter,
@@ -734,6 +1043,7 @@ fn engine_metrics() -> &'static EngineMetrics {
         EngineMetrics {
             cost_hits: r.counter("cost.cache_hits"),
             cost_misses: r.counter("cost.cache_misses"),
+            walks: r.counter("cost.walks"),
             deps_reused: r.counter("cost.deps_reused"),
             deps_computed: r.counter("cost.deps_computed"),
             steady_loops: r.counter("cost.steady_loops"),
@@ -751,11 +1061,16 @@ struct EngineInner {
     /// Printed program without parallel marks → dependence set
     /// (machine-independent).
     deps: HashMap<String, Arc<DependenceSet>>,
+    /// `(machine fingerprint, printed program)` of a program without
+    /// parallel marks → its walk record.
+    records: HashMap<(String, String), Arc<WalkRecord>>,
+    /// The records' weight against [`RECORD_CACHE_CAP`].
+    record_weight: usize,
     stats: CostEngineStats,
 }
 
 /// The memoizing, cross-stage cost engine. See the module docs for the
-/// four layers; the determinism contract is that every result is
+/// five layers; the determinism contract is that every result is
 /// bitwise identical to [`crate::estimate_cost_reference`], cached or
 /// not, at any pool size.
 pub struct CostEngine {
@@ -775,6 +1090,8 @@ impl CostEngine {
             inner: Mutex::new(EngineInner {
                 costs: HashMap::new(),
                 deps: HashMap::new(),
+                records: HashMap::new(),
+                record_weight: 0,
                 stats: CostEngineStats::default(),
             }),
         }
@@ -805,14 +1122,69 @@ impl CostEngine {
         // Compute outside the lock: concurrent scorers proceed in
         // parallel, and a racing duplicate insert is harmless because
         // both values are bitwise identical.
-        let deps = self.deps_under(p, &deps_key(p, &key.1));
-        let report = compute_fresh(p, cfg, &deps, self);
+        let report = if !has_parallel_loop(p) {
+            self.walk_unmarked(p, cfg, &key).result.clone()
+        } else {
+            // `p`'s marks off: the dependence key, and the cost and
+            // record key of the program the marks were added to.
+            let q = unmarked(p);
+            let base_key = (key.0.clone(), print_program(&q));
+            let priced = if priceable(&p.body, 0) {
+                let record = self.record(&base_key).unwrap_or_else(|| {
+                    let record = self.walk_unmarked(&q, cfg, &base_key);
+                    self.cache(base_key.clone(), record.result.clone());
+                    record
+                });
+                record.price(p, cfg)
+            } else {
+                None
+            };
+            priced.unwrap_or_else(|| {
+                let deps = self.deps_under(p, &base_key.1);
+                walk(p, cfg, &deps, self, false).0
+            })
+        };
+        self.cache(key, report.clone());
+        report
+    }
+
+    /// Caches `report` under `key`.
+    fn cache(&self, key: (String, String), report: Result<CostReport, CostError>) {
         let mut inner = self.inner.lock().expect("cost engine lock");
         if inner.costs.len() >= COST_CACHE_CAP {
             inner.costs.clear();
         }
-        inner.costs.insert(key, report.clone());
-        report
+        inner.costs.insert(key, report);
+    }
+
+    /// The walk record cached under `key`.
+    fn record(&self, key: &(String, String)) -> Option<Arc<WalkRecord>> {
+        let inner = self.inner.lock().expect("cost engine lock");
+        inner.records.get(key).cloned()
+    }
+
+    /// Walks `p`, a program without parallel marks whose cost key is
+    /// `key`, recording its executions, and keeps the record.
+    fn walk_unmarked(
+        &self,
+        p: &Program,
+        cfg: &MachineConfig,
+        key: &(String, String),
+    ) -> Arc<WalkRecord> {
+        let deps = self.deps_under(p, &key.1);
+        let (result, execs) = walk(p, cfg, &deps, self, true);
+        let record = Arc::new(WalkRecord { result, execs });
+        let weight = record.weight();
+        let mut inner = self.inner.lock().expect("cost engine lock");
+        if inner.record_weight + weight > RECORD_CACHE_CAP {
+            inner.records.clear();
+            inner.record_weight = 0;
+        }
+        inner.record_weight += weight;
+        if let Some(old) = inner.records.insert(key.clone(), record.clone()) {
+            inner.record_weight -= old.weight();
+        }
+        record
     }
 
     /// The [`Purpose::Transform`] dependence set of `p`: the set the
@@ -850,18 +1222,20 @@ impl CostEngine {
         self.inner.lock().expect("cost engine lock").stats
     }
 
-    /// Drops every cached cost and dependence set and zeroes the stats.
+    /// Drops every cached cost, dependence set and walk record and
+    /// zeroes the stats.
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("cost engine lock");
         inner.costs.clear();
         inner.deps.clear();
+        inner.records.clear();
+        inner.record_weight = 0;
         inner.stats = CostEngineStats::default();
     }
 }
 
-/// The dependence-cache key of `p`, whose printed form is `printed`:
-/// the printed form of `p` with every parallel mark removed.
-fn deps_key<'a>(p: &Program, printed: &'a str) -> Cow<'a, str> {
+/// `p` with every parallel mark removed.
+fn unmarked(p: &Program) -> Program {
     fn unmark(nodes: &mut [Node]) {
         for n in nodes {
             match n {
@@ -874,42 +1248,67 @@ fn deps_key<'a>(p: &Program, printed: &'a str) -> Cow<'a, str> {
             }
         }
     }
+    let mut q = p.clone();
+    unmark(&mut q.body);
+    q
+}
+
+/// The dependence-cache key of `p`, whose printed form is `printed`:
+/// the printed form of `p` with every parallel mark removed.
+fn deps_key<'a>(p: &Program, printed: &'a str) -> Cow<'a, str> {
     if !has_parallel_loop(p) {
         return Cow::Borrowed(printed);
     }
-    let mut q = p.clone();
-    unmark(&mut q.body);
-    Cow::Owned(print_program(&q))
+    Cow::Owned(print_program(&unmarked(p)))
 }
 
 /// One fresh estimate through the memoizing walker, folding the
-/// steady-state and work-unit counters into the engine's stats.
-fn compute_fresh(
+/// steady-state and work-unit counters into the engine's stats. With
+/// `record`, a successful walk also returns its executions at depths 0
+/// and 1.
+fn walk(
     p: &Program,
     cfg: &MachineConfig,
     deps: &DependenceSet,
     engine: &CostEngine,
-) -> Result<CostReport, CostError> {
-    let prepared = lower_for_cost(p, cfg, deps)?;
+    record: bool,
+) -> (Result<CostReport, CostError>, Execs) {
+    let prepared = match lower_for_cost(p, cfg, deps) {
+        Ok(prepared) => prepared,
+        Err(e) => return (Err(e), Execs::default()),
+    };
     let mut model = MemoModel::new(cfg);
-    let walked = model.visit_nodes(&prepared.lowered);
+    let walked = if record {
+        model.rec = Some(Execs::default());
+        model.visit_recorded(&prepared.lowered, true)
+    } else {
+        model.visit_nodes(&prepared.lowered)
+    };
     let instances = model.instances - model.instances_replayed;
     let accesses = model.caches.accesses() - model.accesses_skipped;
     {
         let mut inner = engine.inner.lock().expect("cost engine lock");
         let stats = &mut inner.stats;
+        stats.walks += 1;
         stats.steady_loops += model.steady_loops;
         stats.iters_replayed += model.iters_replayed;
         stats.instances_simulated += instances;
         stats.accesses_simulated += accesses;
         let metrics = engine_metrics();
+        metrics.walks.inc();
         metrics.steady_loops.add(model.steady_loops);
         metrics.iters_replayed.add(model.iters_replayed);
         metrics.instances_simulated.add(instances);
         metrics.accesses_simulated.add(accesses);
     }
-    let breakdown = walked?;
-    Ok(model.report(breakdown, prepared.vectorized))
+    match walked {
+        Ok(breakdown) => {
+            let mut execs = model.rec.take().unwrap_or_default();
+            execs.inner.shrink_to_fit();
+            (Ok(model.report(breakdown, prepared.vectorized)), execs)
+        }
+        Err(e) => (Err(e), Execs::default()),
+    }
 }
 
 /// Estimates the cost of running `p` on `cfg` through the process-wide
@@ -1054,6 +1453,80 @@ mod tests {
         assert_eq!(stats.deps_computed, 1, "parallel marks must not re-analyze");
         assert_eq!(stats.deps_reused, 2);
         assert!(*deps == analyze_for(&p, Purpose::Transform));
+    }
+
+    /// Estimates `p` and then each of `marked` on one engine, pins every
+    /// report to the reference, and returns the walks the marked forms
+    /// added.
+    fn marked_walks(p: &Program, marked: &[Program], cfg: &MachineConfig) -> u64 {
+        let engine = CostEngine::new();
+        let plain = engine.estimate(p, cfg);
+        assert_eq!(bits(&plain), bits(&estimate_cost_reference(p, cfg)));
+        let before = engine.stats().walks;
+        for m in marked {
+            let got = engine.estimate(m, cfg);
+            assert_eq!(bits(&got), bits(&estimate_cost_reference(m, cfg)));
+        }
+        engine.stats().walks - before
+    }
+
+    /// An outer loop walked trip by trip over a 2-deep nest and a
+    /// triangular loop that is empty for `i > 20`.
+    const NEST: &str = "param N = 40;\narray A[N][N][N];\narray B[N][N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) { for (j = 0; j <= N - 1; j++) for (k = 0; k <= N - 1; k++) A[i][j][k] = A[i][j][k] + B[j][k]; for (j = i; j <= 20; j++) B[i][j] = B[i][j] * 0.5; }\n#pragma endscop\n";
+
+    fn par(p: &Program, paths: &[&[usize]]) -> Program {
+        paths.iter().fold(p.clone(), |q, path| {
+            looprag_transform::parallelize(&q, path).unwrap()
+        })
+    }
+
+    #[test]
+    fn shallow_marks_are_priced_and_the_rest_walk() {
+        let p = compile(NEST, "nest").unwrap();
+        let shallow = [
+            par(&p, &[&[0]]),
+            par(&p, &[&[0, 0]]),
+            par(&p, &[&[0, 1]]),
+            par(&p, &[&[0, 0], &[0, 1]]),
+            par(&p, &[&[0], &[0, 0, 0]]),
+        ];
+        let gcc = MachineConfig::gcc();
+        assert_eq!(marked_walks(&p, &shallow, &gcc), 0);
+        // The empty executions of `[0, 1]` are no parallel entries.
+        let engine = CostEngine::new();
+        assert_eq!(
+            engine.estimate(&shallow[2], &gcc).unwrap().parallel_entries,
+            21
+        );
+        // A starved walk fails, and so does every marked form, unwalked.
+        let mut starved = MachineConfig::gcc();
+        starved.instance_budget = 5_000;
+        assert_eq!(marked_walks(&p, &shallow, &starved), 0);
+        // A mark at depth 2 walks.
+        assert_eq!(marked_walks(&p, &[par(&p, &[&[0, 0, 0]])], &gcc), 1);
+        // So does a mark under a guard.
+        let shifted = looprag_transform::shift(&p, &[0], 1, 1).unwrap();
+        let guarded = par(&shifted, &[&[0, 1, 0]]);
+        assert_eq!(marked_walks(&shifted, &[guarded], &gcc), 1);
+    }
+
+    #[test]
+    fn marks_under_a_steady_loop_or_past_the_cap_walk() {
+        // The time loop takes the steady-state path, which records no
+        // body: its own mark is priced, its nests' marks walk.
+        let p = compile(TIME_STENCIL, "t").unwrap();
+        let gcc = MachineConfig::gcc();
+        assert_eq!(marked_walks(&p, &[par(&p, &[&[0]])], &gcc), 0);
+        assert_eq!(marked_walks(&p, &[par(&p, &[&[0, 1]])], &gcc), 1);
+        // 5000 trips of a one-loop body pass the record's cap: the
+        // outer mark is priced, the inner one walks.
+        let long = "param N = 5000;\narray A[N][2];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) for (j = 0; j <= 1; j++) A[i][j] = A[i][j] + 1.0;\n#pragma endscop\n";
+        let p = compile(long, "long").unwrap();
+        assert_eq!(marked_walks(&p, &[par(&p, &[&[0]])], &gcc), 0);
+        assert_eq!(marked_walks(&p, &[par(&p, &[&[0, 0]])], &gcc), 1);
+        let short = long.replace("N = 5000", "N = 4000");
+        let p = compile(&short, "short").unwrap();
+        assert_eq!(marked_walks(&p, &[par(&p, &[&[0, 0]])], &gcc), 0);
     }
 
     #[test]

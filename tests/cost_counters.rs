@@ -1,6 +1,7 @@
 //! Pins the cost engine's work-unit counters,
-//! `cost.instances_simulated` and `cost.accesses_simulated`, for a
-//! fixed kernel list, and shows they do not depend on the pool size.
+//! `cost.instances_simulated`, `cost.accesses_simulated` and
+//! `cost.walks`, for a fixed kernel list, and shows they do not depend
+//! on the pool size.
 //!
 //! This lives in its own test binary with a single test: the counters
 //! are process-wide, so any concurrently running test inside the same
@@ -10,6 +11,7 @@ use looprag::looprag_machine::{estimate_cost_reference, CostEngine, MachineConfi
 use looprag::looprag_runtime::par_map;
 use looprag::looprag_suites::find;
 use looprag::looprag_trace::metrics;
+use looprag::looprag_transform::parallelize;
 
 /// `jacobi-2d` and `seidel-2d` have body-invariant time loops that the
 /// steady-state memoizer fast-forwards; the rest are simulated in full.
@@ -22,13 +24,23 @@ const KERNELS: [&str; 6] = [
     "lore_conv1d",
 ];
 
+/// The instances and accesses simulated while `run` runs.
 fn deltas(run: impl FnOnce()) -> (u64, u64) {
+    let (instances, accesses, _) = work(run);
+    (instances, accesses)
+}
+
+/// The instances and accesses simulated and the walks run while `run`
+/// runs.
+fn work(run: impl FnOnce()) -> (u64, u64, u64) {
     let before = metrics().snapshot();
     run();
     let after = metrics().snapshot();
+    let delta = |name| after.counter(name) - before.counter(name);
     (
-        after.counter("cost.instances_simulated") - before.counter("cost.instances_simulated"),
-        after.counter("cost.accesses_simulated") - before.counter("cost.accesses_simulated"),
+        delta("cost.instances_simulated"),
+        delta("cost.accesses_simulated"),
+        delta("cost.walks"),
     )
 }
 
@@ -57,6 +69,7 @@ fn work_unit_counters_are_pinned_and_pool_size_invariant() {
         serial,
         "engine stats mirror the registry"
     );
+    assert_eq!(stats.walks, KERNELS.len() as u64);
 
     // Replayed iterations and elided line runs are reported but not
     // simulated.
@@ -87,6 +100,21 @@ fn work_unit_counters_are_pinned_and_pool_size_invariant() {
         }
     });
     assert_eq!(repeat, (0, 0));
+
+    // Each kernel parallelized at its first loop is priced from the
+    // walk record of the original: no walk, nothing simulated.
+    let marked: Vec<_> = programs
+        .iter()
+        .map(|p| parallelize(p, &[0]).expect("a top-level loop"))
+        .collect();
+    let priced = work(|| {
+        for p in &marked {
+            let r = engine.estimate(p, &cfg);
+            assert_eq!(r, estimate_cost_reference(p, &cfg));
+        }
+    });
+    assert_eq!(priced, (0, 0, 0));
+    assert_eq!(engine.stats().walks, KERNELS.len() as u64);
 
     // The same work at pool sizes 1, 2 and 8 on a fresh engine.
     for threads in [1usize, 2, 8] {

@@ -11,14 +11,14 @@
 //! tests hard-assert that contract; any drift is a correctness bug,
 //! not a tolerance question.
 
-use looprag::looprag_ir::{compile, parse_program, Program};
+use looprag::looprag_ir::{compile, loop_paths, parse_program, Program};
 use looprag::looprag_machine::{
     estimate_cost_reference, CacheGeometry, CostEngine, CostError, CostReport, MachineConfig,
 };
 use looprag::looprag_runtime::par_map;
-use looprag::looprag_suites::all_benchmarks;
+use looprag::looprag_suites::{all_benchmarks, find};
 use looprag::looprag_synth::{generate_example, LoopParams};
-use looprag::looprag_transform::{parallelize, tile_band};
+use looprag::looprag_transform::{parallelize, shift, tile_band};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -126,6 +126,104 @@ fn starved_budgets_pin_to_reference() {
     }
 }
 
+/// `p` tiled at size `size`: its outer band two deep where the nest
+/// allows, else one.
+fn tile(p: &Program, size: i64) -> Option<Program> {
+    tile_band(p, &[0], 2, size)
+        .or_else(|_| tile_band(p, &[0], 1, size))
+        .ok()
+}
+
+/// `p` with each of its loops marked parallel alone, then with each
+/// pair of them marked.
+fn mark_variants(p: &Program) -> Vec<Program> {
+    let paths = loop_paths(&p.body);
+    let mut out: Vec<Program> = paths
+        .iter()
+        .filter_map(|a| parallelize(p, a).ok())
+        .collect();
+    for (i, a) in paths.iter().enumerate() {
+        for b in &paths[i + 1..] {
+            out.extend(parallelize(p, a).and_then(|v| parallelize(&v, b)).ok());
+        }
+    }
+    out
+}
+
+/// `jacobi-2d`, whose body-invariant time loop takes the steady-state
+/// path, and the same kernel with its two nests under guards.
+fn jacobi_and_shifted() -> [(String, Program); 2] {
+    let jacobi = find("jacobi-2d").expect("jacobi-2d").program();
+    let shifted = shift(&jacobi, &[0], 1, 1).expect("shift jacobi-2d");
+    [
+        ("jacobi-2d".into(), jacobi),
+        ("jacobi-2d/shifted".into(), shifted),
+    ]
+}
+
+/// Forms whose unmarked reference simulates more statement instances
+/// than this are pinned at the starved budget only: the reference walk
+/// of each of their variants takes seconds. (The full sweep passed at
+/// both budgets when this test was written.)
+const FULL_BUDGET_INSTANCES: u64 = 600_000;
+
+/// Marked forms are priced from the walk record of the unmarked
+/// program when their outermost marks sit at depth 0 or 1, and walked
+/// otherwise (deeper marks, marks under a body-invariant time loop or
+/// under a guard). Per kernel form and machine, one engine estimates the
+/// unmarked program and then every mark variant; a fresh engine takes
+/// the variants in reverse, so its first marked request builds the
+/// record. Every report must equal the reference bit for bit.
+#[test]
+fn parallel_marks_pin_to_reference() {
+    let mut kernels = kernel_stride(3);
+    kernels.extend(jacobi_and_shifted());
+    let (mut priced, mut walked) = (0u64, 0u64);
+    for (name, p) in kernels {
+        let forms = [Some(p.clone()), tile(&p, 4), tile(&p, 32)];
+        for (f, form) in forms.into_iter().enumerate() {
+            let Some(form) = form else { continue };
+            let variants = mark_variants(&form);
+            // Untiled jacobi-2d runs at both budgets: the steady-state
+            // refusal needs a walk that completes.
+            let full = (name == "jacobi-2d" && f == 0)
+                || estimate_cost_reference(&form, &starved(FULL_BUDGET_INSTANCES)).is_ok();
+            let cfgs = [Some(starved(20_000)), full.then(MachineConfig::gcc)];
+            for cfg in cfgs.into_iter().flatten() {
+                let base = bits(&estimate_cost_reference(&form, &cfg));
+                let expect: Vec<String> = variants
+                    .iter()
+                    .map(|v| bits(&estimate_cost_reference(v, &cfg)))
+                    .collect();
+                let engine = CostEngine::new();
+                assert_eq!(bits(&engine.estimate(&form, &cfg)), base, "{name}");
+                for (i, v) in variants.iter().enumerate() {
+                    let got = bits(&engine.estimate(v, &cfg));
+                    assert_eq!(got, expect[i], "{name}: variant {i}");
+                }
+                let forward = engine.stats();
+                let engine = CostEngine::new();
+                for (i, v) in variants.iter().enumerate().rev() {
+                    let got = bits(&engine.estimate(v, &cfg));
+                    assert_eq!(got, expect[i], "{name}: variant {i}, reversed");
+                }
+                assert_eq!(bits(&engine.estimate(&form, &cfg)), base, "{name}");
+                for stats in [forward, engine.stats()] {
+                    // One walk of the unmarked program, then one per
+                    // variant that was not priced.
+                    let marked_walks = stats.walks - 1;
+                    priced += variants.len() as u64 - marked_walks;
+                    walked += marked_walks;
+                }
+            }
+        }
+    }
+    assert!(
+        priced > 1000 && walked > 100,
+        "{priced} priced, {walked} walked"
+    );
+}
+
 /// One shared engine queried from pools of 1, 2, and 8 workers must
 /// produce the same bit-exact report vector every time — concurrency
 /// (and who wins the compute race on a shared miss) must not leak into
@@ -139,7 +237,11 @@ fn shared_engine_is_deterministic_across_pool_sizes() {
         .filter(|(i, _)| i % 5 == 0)
         .flat_map(|(_, b)| {
             let p = b.program();
-            [p.clone(), p] // duplicates force cache-hit/miss races
+            // Mark variants of the lighter kernels race their
+            // unmarked program's walk record.
+            let light = estimate_cost_reference(&p, &starved(FULL_BUDGET_INSTANCES)).is_ok();
+            let variants = if light { mark_variants(&p) } else { Vec::new() };
+            [p.clone(), p].into_iter().chain(variants) // duplicates force cache-hit/miss races
         })
         .collect();
     let expect: Vec<String> = programs
@@ -197,12 +299,6 @@ fn pin(engine: &CostEngine, name: &str, p: &Program, cfg: &MachineConfig) {
 /// factors) and parallelized nests, at a normal and a starved budget.
 #[test]
 fn tiled_and_parallelized_kernels_pin_to_reference() {
-    // Tile the outer band two deep where the nest allows, else one.
-    let tile = |p: &Program, size| {
-        tile_band(p, &[0], 2, size)
-            .or_else(|_| tile_band(p, &[0], 1, size))
-            .ok()
-    };
     let mut variants = 0usize;
     for (name, p) in kernel_stride(6) {
         let shapes = [
