@@ -73,8 +73,7 @@ fn bench_interpreter(c: &mut Criterion) {
         b.iter(|| {
             let mut store = BatchStore::from_inputs(&p, &[vec![]]);
             compiled
-                .run_batched(&mut store, &ExecConfig::default(), None)
-                .remove(0)
+                .run_batched(&mut store, &ExecConfig::default())
                 .unwrap()
         })
     });

@@ -19,9 +19,9 @@
 //! [`seed_inputs`], and nothing is run to select it.
 //!
 //! The production path is *batched*: all suite inputs run as lanes of
-//! one [`BatchStore`] sweep per iteration order, and the ground truth is
-//! executed once per sampling cap (and cached by [`PreparedTarget`]
-//! across candidates).
+//! one [`BatchStore`] sweep per iteration order, each sweep with one
+//! outcome, and the ground truth is executed once per sampling cap (and
+//! cached by [`PreparedTarget`] across candidates).
 //! Its one reference oracle is [`differential_test_reference`]: the
 //! per-input, early-exit traversal on the tree-walking interpreter,
 //! pinned bit-for-bit against the batched verdicts.
@@ -188,11 +188,12 @@ pub fn build_test_suite(p: &Program, _cfg: &EqCheckConfig) -> TestSuite {
 const GROUND_TRUTH_ALL_FAILED: &str =
     "ground truth failed on every suite input; no differential comparisons ran";
 
-/// Annotates a failing verdict with the number of suite inputs that were
-/// skipped (ground-truth failure) before the failure was found, so
-/// partially-vacuous verdicts are visible. Passing verdicts and verdicts
-/// found with no prior skips are returned untouched, keeping the common
-/// case byte-identical across engines and releases.
+/// Annotates a failing verdict of the reference oracle with the number of
+/// suite inputs it skipped (ground-truth failure) before the failure was
+/// found, so partially-vacuous verdicts are visible. The ground truth
+/// fails on every input or on none, so the batched path never skips one;
+/// verdicts found with no prior skips are returned untouched, which keeps
+/// the two paths byte-identical.
 fn annotate_skips(verdict: TestVerdict, skipped: usize) -> TestVerdict {
     if skipped == 0 {
         return verdict;
@@ -371,45 +372,38 @@ struct ExpectedLanes {
     /// The original's final output arrays, one lane per suite input;
     /// verdicts read nothing else, so the other arrays are dropped.
     stores: BatchStore,
-    /// Per input: whether the ground-truth run succeeded.
-    ok: Vec<bool>,
-    /// Per input: output checksum of the final store (valid when `ok`).
+    /// Per input: output checksum of the final store.
     checksums: Vec<f64>,
 }
 
 impl ExpectedLanes {
     /// Runs the scaled original over all suite inputs as one batched
     /// Forward sweep and caches the per-lane output arrays and checksums.
-    fn prepare(orig: &Program, suite: &TestSuite, cfg: &EqCheckConfig) -> Self {
+    /// `None` when the sweep fails, which it does on every input at once,
+    /// or when the suite is empty: either way no comparison can run.
+    fn prepare(orig: &Program, suite: &TestSuite, cfg: &EqCheckConfig) -> Option<Self> {
         count_ground_truth_run();
-        let n = suite.inputs.len();
         let mut stores = BatchStore::from_inputs(orig, &suite.inputs);
         let fwd = ExecConfig {
             stmt_budget: cfg.stmt_budget,
             parallel_order: ParallelOrder::Forward,
         };
-        let results = CompiledProgram::compile(orig).run_batched(&mut stores, &fwd, None);
-        let ok: Vec<bool> = results.iter().map(|r| r.is_ok()).collect();
-        let sums = stores.checksum_lanes(&orig.outputs);
-        let checksums: Vec<f64> = (0..n)
-            .map(|lane| if ok[lane] { sums[lane] } else { f64::NAN })
-            .collect();
+        CompiledProgram::compile(orig)
+            .run_batched(&mut stores, &fwd)
+            .ok()?;
+        let checksums = stores.checksum_lanes(&orig.outputs);
         stores.retain_arrays(&orig.outputs);
-        ExpectedLanes {
-            stores,
-            ok,
-            checksums,
-        }
+        (stores.lanes() > 0).then_some(ExpectedLanes { stores, checksums })
     }
 }
 
 /// The original scaled to one sampling cap, with its ground truth over
-/// the whole suite.
+/// the whole suite (`None`: the original fails there).
 #[derive(Debug)]
 struct GroundTruth {
     cap: i64,
     scaled: Program,
-    expected: ExpectedLanes,
+    expected: Option<ExpectedLanes>,
 }
 
 impl GroundTruth {
@@ -427,89 +421,78 @@ impl GroundTruth {
 /// The batched per-candidate core: the original's ground truth at the
 /// test's sampling cap is `truth`; only the candidate is scaled
 /// and compiled here. Each iteration order runs as one batched sweep
-/// over the (ground-truth-passing) suite inputs.
+/// over the suite inputs, input `i` in lane `i`.
 ///
 /// The reference oracle visits `(input, order)` pairs input-major with
 /// an early return, so its verdict is the lexicographically first
 /// failure. The sweeps reproduce that exactly: each later order only
-/// re-runs inputs *before* the earliest failure found so far (a genuine
-/// early exit — once input 0 fails nothing else runs), and the
-/// surviving minimum is the oracle's verdict by construction.
+/// re-runs the inputs *before* the earliest failure found so far (a
+/// genuine early exit — once input 0 fails nothing else runs), and the
+/// surviving minimum is the oracle's verdict by construction. A sweep
+/// that stops on a budget or a fault stops on every input at once, so
+/// its failure is input 0's.
 fn differential_test_batched(
     truth: &GroundTruth,
     candidate: &Program,
     suite: &TestSuite,
     cfg: &EqCheckConfig,
 ) -> TestVerdict {
-    let (orig, expected) = (&truth.scaled, &truth.expected);
+    let orig = &truth.scaled;
     let cand = scaled_clone(candidate, truth.cap);
     if orig.outputs != cand.outputs {
         return TestVerdict::IncorrectAnswer {
             detail: "output arrays differ".into(),
         };
     }
-    let outputs = &orig.outputs;
-    let lane_inputs: Vec<usize> = (0..suite.inputs.len())
-        .filter(|&i| expected.ok[i])
-        .collect();
-    if lane_inputs.is_empty() {
+    let Some(expected) = &truth.expected else {
         return TestVerdict::RuntimeError {
             message: GROUND_TRUTH_ALL_FAILED.into(),
         };
-    }
-    let compiled = CompiledProgram::compile(&cand);
-    // One lane per listed suite input, in order.
-    let input_lanes = |inputs: &[usize]| {
-        let specs: Vec<InputSpec> = inputs.iter().map(|&i| suite.inputs[i].clone()).collect();
-        BatchStore::from_inputs(&cand, &specs)
     };
+    let outputs = &orig.outputs;
+    let compiled = CompiledProgram::compile(&cand);
     // Lane template: allocated and input-filled once; full-width sweeps
     // clone it instead of recomputing per-element array initialization
     // for every iteration order.
-    let template = input_lanes(&lane_inputs);
+    let template = BatchStore::from_inputs(&cand, &suite.inputs);
     let mut first_fail: Option<(usize, TestVerdict)> = None;
     for order in ParallelOrder::probes(&cand) {
-        let limit = first_fail.as_ref().map_or(usize::MAX, |(i, _)| *i);
-        let active: Vec<usize> = lane_inputs.iter().copied().filter(|&i| i < limit).collect();
-        if active.is_empty() {
+        let limit = first_fail.as_ref().map_or(suite.inputs.len(), |(i, _)| *i);
+        if limit == 0 {
             break;
         }
-        let mut store = if active.len() == lane_inputs.len() {
+        let mut store = if limit == suite.inputs.len() {
             template.clone()
         } else {
             // Narrowed sweep (an earlier order already failed): cheap by
             // construction, build the reduced store directly.
-            input_lanes(&active)
+            BatchStore::from_inputs(&cand, &suite.inputs[..limit])
         };
         let ecfg = ExecConfig {
             stmt_budget: cfg.stmt_budget,
             parallel_order: *order,
         };
-        let results = compiled.run_batched(&mut store, &ecfg, None);
-        let sums = store.checksum_lanes(outputs);
-        for (lane, &i) in active.iter().enumerate() {
-            let verdict = match &results[lane] {
-                Err(ExecError::BudgetExceeded { .. }) => Some(TestVerdict::Timeout),
-                Err(e) => Some(TestVerdict::RuntimeError {
+        first_fail = match compiled.run_batched(&mut store, &ecfg) {
+            Err(ExecError::BudgetExceeded { .. }) => Some((0, TestVerdict::Timeout)),
+            Err(e) => Some((
+                0,
+                TestVerdict::RuntimeError {
                     message: e.to_string(),
-                }),
-                Ok(_) => lane_mismatch(expected, i, &store, lane, sums[lane], outputs, cfg),
-            };
-            if let Some(v) = verdict {
-                // First failing input of this sweep; anything after it
-                // is moot under input-major priority.
-                first_fail = Some((i, v));
-                break;
+                },
+            )),
+            // First failing input of this sweep; anything after it is
+            // moot under input-major priority.
+            Ok(_) => {
+                let sums = store.checksum_lanes(outputs);
+                (0..limit)
+                    .find_map(|i| {
+                        lane_mismatch(expected, &store, i, sums[i], outputs, cfg).map(|v| (i, v))
+                    })
+                    .or(first_fail)
             }
-        }
+        };
     }
-    match first_fail {
-        Some((i, v)) => {
-            let skipped = (0..i).filter(|&j| !expected.ok[j]).count();
-            annotate_skips(v, skipped)
-        }
-        None => TestVerdict::Pass,
-    }
+    first_fail.map_or(TestVerdict::Pass, |(_, v)| v)
 }
 
 /// The checksum quick filter shared by both verdict paths: a mismatch
@@ -525,31 +508,28 @@ fn checksum_mismatch(expected_sum: f64, got_sum: f64, cfg: &EqCheckConfig) -> Op
     })
 }
 
-/// Compares one candidate lane against the cached ground-truth lane for
-/// `input`: checksum quick-filter, then element-wise comparison — the
-/// identical formulas (and verdict strings) as the reference oracle.
+/// Compares lane `lane` of a candidate sweep against the cached
+/// ground-truth lane of the same input: checksum quick-filter, then
+/// element-wise comparison — the identical formulas (and verdict
+/// strings) as the reference oracle.
 fn lane_mismatch(
     expected: &ExpectedLanes,
-    input: usize,
     got: &BatchStore,
     lane: usize,
     got_sum: f64,
     outputs: &[String],
     cfg: &EqCheckConfig,
 ) -> Option<TestVerdict> {
-    if let Some(v) = checksum_mismatch(expected.checksums[input], got_sum, cfg) {
+    if let Some(v) = checksum_mismatch(expected.checksums[lane], got_sum, cfg) {
         return Some(v);
     }
-    if let Some((arr, idx, a, b)) =
+    let (arr, idx, a, b) =
         expected
             .stores
-            .element_diff_lane(input, got, lane, outputs, cfg.rel_eps)
-    {
-        return Some(TestVerdict::IncorrectAnswer {
-            detail: format!("{arr}[{idx}]: expected {a}, got {b}"),
-        });
-    }
-    None
+            .element_diff_lane(lane, got, lane, outputs, cfg.rel_eps)?;
+    Some(TestVerdict::IncorrectAnswer {
+        detail: format!("{arr}[{idx}]: expected {a}, got {b}"),
+    })
 }
 
 /// A kernel prepared for repeated differential testing: the suite plus a memo of the original's ground truth per sampling cap.
@@ -814,11 +794,15 @@ mod tests {
         let cfg = EqCheckConfig::default();
         let suite = build_test_suite(&ok, &cfg);
         assert!(!suite.inputs.is_empty());
-        // `oob` as the *original*: every ground-truth run faults.
+        // `oob` as the *original*: every ground-truth run faults. An
+        // empty suite runs no comparison either.
+        let empty = TestSuite { inputs: Vec::new() };
         let verdicts = [
             differential_test(&oob, &ok, &suite, &cfg),
             differential_test_reference(&oob, &ok, &suite, &cfg),
             PreparedTarget::prepare(&oob, &cfg).differential_test(&ok, &cfg),
+            differential_test(&ok, &ok, &empty, &cfg),
+            differential_test_reference(&ok, &ok, &empty, &cfg),
         ];
         for v in verdicts {
             match v {

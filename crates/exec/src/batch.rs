@@ -12,23 +12,18 @@
 //! inner loops walk contiguous memory.
 //!
 //! This is the crate's one production interpreter: a single run is a
-//! one-lane batch ([`run`]). Per-lane semantics are exactly those of a
-//! scalar run of the reference walker
-//! ([`crate::run_with_store_reference`]) on that lane's input:
+//! one-lane batch ([`run`]). A batch has **one fate**. Every lane meets
+//! the statement budget at the same statement, and every fault
+//! (out-of-bounds subscript, unbound symbol) is raised by the control
+//! flow all lanes share, so the run returns one outcome. Each lane is
+//! then exactly a scalar run of the reference walker
+//! ([`crate::run_with_store_reference`]) on that lane's input: the same
+//! statement count, the same error, and on an early stop the same
+//! partial store, every lane's stripes frozen at the statement that
+//! stopped the run.
 //!
-//! * every lane has its own statement budget; a lane that exhausts it is
-//!   latched with [`ExecError::BudgetExceeded`] and drops out, its
-//!   stripes frozen at the death point — bit-for-bit the partial store a
-//!   scalar run with that budget would leave — while the remaining lanes
-//!   continue;
-//! * faults (out-of-bounds subscripts, unbound symbols) are control-flow
-//!   level and therefore hit every still-live lane at the same program
-//!   point, latching the identical error a scalar run would report;
-//! * the run early-exits as soon as no live lanes remain.
-//!
-//! Every lane's outcome (stats, error class, final store) is pinned
-//! bit-for-bit against a reference run of that input and budget by
-//! `tests/engine_differential.rs`.
+//! Every lane's outcome and store are pinned bit-for-bit against a
+//! reference run of that input by `tests/engine_differential.rs`.
 
 use crate::compile::{CAccess, CLoop, CNode, CStmt, CompiledProgram, Op};
 use crate::interp::{ExecConfig, ExecError, ExecStats, ParallelOrder};
@@ -256,52 +251,34 @@ impl CompiledProgram {
     ///
     /// Control flow (bounds, guards, subscripts, iteration order) is
     /// evaluated once and shared by all lanes; only element data differs
-    /// per lane. `budgets`, when given, holds one statement budget per
-    /// lane (`cfg.stmt_budget` otherwise). The returned vector has one
-    /// entry per lane: surviving lanes get the shared [`ExecStats`],
-    /// lanes that exhausted their budget or hit a fault get the exact
-    /// [`ExecError`] a reference run of that lane would have returned,
-    /// with their stripes frozen at the death point.
+    /// per lane. The outcome is therefore shared too: the [`ExecStats`]
+    /// of a reference run of any lane, or the [`ExecError`] it would
+    /// return, with every lane's stripes frozen where the run stopped.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `budgets` is given with a length other than the lane
-    /// count.
+    /// Returns [`ExecError::BudgetExceeded`] when `cfg.stmt_budget`
+    /// statements have run, and the fault on an out-of-bounds access or
+    /// an unbound symbol.
     pub fn run_batched(
         &self,
         store: &mut BatchStore,
         cfg: &ExecConfig,
-        budgets: Option<&[u64]>,
-    ) -> Vec<Result<ExecStats, ExecError>> {
+    ) -> Result<ExecStats, ExecError> {
         let lanes = store.lanes();
-        if lanes == 0 {
-            return Vec::new();
-        }
-        let budgets: Vec<u64> = match budgets {
-            Some(b) => {
-                assert_eq!(b.len(), lanes, "one budget per lane");
-                b.to_vec()
-            }
-            None => vec![cfg.stmt_budget; lanes],
-        };
         // Resolve interned array ids to dense store indexes once.
         let store_idx: Vec<Option<u32>> = self
             .arrays
             .iter()
             .map(|n| store.index_of(n).map(|i| i as u32))
             .collect();
-        let min_budget = budgets.iter().copied().min().unwrap_or(u64::MAX);
         let mut m = BatchMachine {
             cp: self,
             store,
             lanes,
             order: cfg.parallel_order,
-            budgets,
-            min_budget,
+            budget: cfg.stmt_budget,
             executed: 0,
-            live: vec![true; lanes],
-            n_live: lanes,
-            fault: vec![None; lanes],
             frame: vec![0; self.n_slots],
             stack: Vec::with_capacity(16 * lanes),
             args: Vec::with_capacity(4),
@@ -309,22 +286,11 @@ impl CompiledProgram {
             store_idx,
         };
         for n in &self.body {
-            // `Halt` means every lane is dead (latched budget/fault
-            // errors): stop decoding, the per-lane verdicts are final.
-            if m.exec_node(n).is_err() {
-                break;
-            }
+            m.exec_node(n)?;
         }
-        let stats = ExecStats {
+        Ok(ExecStats {
             stmts_executed: m.executed,
-        };
-        m.fault
-            .into_iter()
-            .map(|f| match f {
-                Some(e) => Err(e),
-                None => Ok(stats),
-            })
-            .collect()
+        })
     }
 }
 
@@ -335,36 +301,22 @@ impl CompiledProgram {
 ///
 /// # Errors
 ///
-/// Returns the lane's [`ExecError`] on an out-of-bounds access, budget
+/// Returns the [`ExecError`] of an out-of-bounds access, budget
 /// exhaustion, or an unbound symbol.
 pub fn run(p: &Program, cfg: &ExecConfig) -> Result<(ArrayStore, ExecStats), ExecError> {
     let mut store = BatchStore::from_inputs(p, &[InputSpec::new()]);
-    let outcome = CompiledProgram::compile(p)
-        .run_batched(&mut store, cfg, None)
-        .remove(0);
-    outcome.map(|stats| (store.lane_store(0), stats))
+    let stats = CompiledProgram::compile(p).run_batched(&mut store, cfg)?;
+    Ok((store.lane_store(0), stats))
 }
-
-/// Control-flow signal: every lane is dead, stop the whole run.
-struct Halt;
 
 struct BatchMachine<'c, 's> {
     cp: &'c CompiledProgram,
     store: &'s mut BatchStore,
     lanes: usize,
     order: ParallelOrder,
-    /// Per-lane statement budgets.
-    budgets: Vec<u64>,
-    /// Minimum budget over the live lanes: until `executed` reaches it,
-    /// no per-lane budget check can fire, so the per-statement latch
-    /// loop reduces to one comparison.
-    min_budget: u64,
+    budget: u64,
     /// Shared statement counter: all lanes execute the same sequence.
     executed: u64,
-    live: Vec<bool>,
-    n_live: usize,
-    /// Latched per-lane error; `Some` implies the lane is dead.
-    fault: Vec<Option<ExecError>>,
     frame: Vec<i64>,
     /// Postfix evaluation stack in stripes of `lanes` values.
     stack: Vec<f64>,
@@ -375,48 +327,30 @@ struct BatchMachine<'c, 's> {
 }
 
 impl<'c> BatchMachine<'c, '_> {
-    /// Latches `e` onto every live lane. Faults are raised by control
-    /// flow, which all live lanes share, so they die together.
-    fn halt_all(&mut self, e: ExecError) -> Halt {
-        for l in 0..self.lanes {
-            if self.live[l] {
-                self.fault[l] = Some(e.clone());
-                self.live[l] = false;
-            }
-        }
-        self.n_live = 0;
-        Halt
-    }
-
     /// Evaluates an access's subscripts and bounds-checks them, returning
     /// `(store_index, flat_element_index)` — shared by all lanes.
-    fn resolve(&mut self, acc: &'c CAccess, stmt: usize) -> Result<(usize, usize), Halt> {
-        let dims = match &acc.dims {
-            Ok(dims) => dims,
-            Err(e) => return Err(self.halt_all(e.into())),
-        };
+    fn resolve(&mut self, acc: &'c CAccess, stmt: usize) -> Result<(usize, usize), ExecError> {
+        let dims = acc.dims.as_ref().map_err(ExecError::from)?;
         self.dims.clear();
         self.dims.extend(dims.iter().map(|d| d.eval(&self.frame)));
         let Some(idx) = self.store_idx[acc.array as usize] else {
-            let e = ExecError::Unbound(self.cp.arrays[acc.array as usize].clone());
-            return Err(self.halt_all(e));
+            return Err(ExecError::Unbound(
+                self.cp.arrays[acc.array as usize].clone(),
+            ));
         };
         match flatten_extents(&self.store.extents[idx as usize], &self.dims) {
             Some(flat) => Ok((idx as usize, flat)),
-            None => {
-                let e = ExecError::OutOfBounds {
-                    array: self.cp.arrays[acc.array as usize].clone(),
-                    indexes: self.dims.clone(),
-                    stmt,
-                };
-                Err(self.halt_all(e))
-            }
+            None => Err(ExecError::OutOfBounds {
+                array: self.cp.arrays[acc.array as usize].clone(),
+                indexes: self.dims.clone(),
+                stmt,
+            }),
         }
     }
 
     /// Evaluates a statement's postfix op stream over all lanes, leaving
     /// the result stripe (one value per lane) on top of the stack.
-    fn eval_ops(&mut self, s: &'c CStmt) -> Result<(), Halt> {
+    fn eval_ops(&mut self, s: &'c CStmt) -> Result<(), ExecError> {
         let cp = self.cp;
         let n = self.lanes;
         self.stack.clear();
@@ -438,10 +372,7 @@ impl<'c> BatchMachine<'c, '_> {
                     self.stack
                         .extend_from_slice(&self.store.data[idx][base..base + n]);
                 }
-                Op::UnboundSym(i) => {
-                    let e = ExecError::Unbound(cp.syms[*i as usize].clone());
-                    return Err(self.halt_all(e));
-                }
+                Op::UnboundSym(i) => return Err(ExecError::Unbound(cp.syms[*i as usize].clone())),
                 Op::Neg => {
                     let len = self.stack.len();
                     for v in &mut self.stack[len - n..] {
@@ -506,30 +437,13 @@ impl<'c> BatchMachine<'c, '_> {
         Ok(())
     }
 
-    fn exec_stmt(&mut self, s: &'c CStmt) -> Result<(), Halt> {
-        // Per-lane budget latch, checked where the reference walker
-        // checks its budget: a lane whose budget is exhausted dies exactly
-        // at the statement a scalar run with that budget would abort on.
-        // Until `executed` reaches the smallest live budget no lane can
-        // fire, so the common case is one comparison.
-        if self.executed >= self.min_budget {
-            for l in 0..self.lanes {
-                if self.live[l] && self.executed >= self.budgets[l] {
-                    self.fault[l] = Some(ExecError::BudgetExceeded {
-                        budget: self.budgets[l],
-                    });
-                    self.live[l] = false;
-                    self.n_live -= 1;
-                }
-            }
-            if self.n_live == 0 {
-                return Err(Halt);
-            }
-            self.min_budget = (0..self.lanes)
-                .filter(|&l| self.live[l])
-                .map(|l| self.budgets[l])
-                .min()
-                .unwrap_or(u64::MAX);
+    fn exec_stmt(&mut self, s: &'c CStmt) -> Result<(), ExecError> {
+        // Checked where the reference walker checks its budget, so every
+        // lane stops at the statement a scalar run would abort on.
+        if self.executed >= self.budget {
+            return Err(ExecError::BudgetExceeded {
+                budget: self.budget,
+            });
         }
         self.executed += 1;
         self.eval_ops(s)?;
@@ -538,36 +452,25 @@ impl<'c> BatchMachine<'c, '_> {
         let n = self.lanes;
         let base = flat * n;
         let top = self.stack.len() - n;
-        let col = &mut self.store.data[idx];
-        if self.n_live == n {
-            let dst = &mut col[base..base + n];
-            let rhs = &self.stack[top..top + n];
-            // Assign-op match hoisted out of the stripe loop; per element
-            // identical to `AssignOp::apply`.
-            match s.op {
-                AssignOp::Assign => dst.copy_from_slice(rhs),
-                AssignOp::AddAssign => {
-                    for l in 0..n {
-                        dst[l] += rhs[l];
-                    }
-                }
-                AssignOp::SubAssign => {
-                    for l in 0..n {
-                        dst[l] -= rhs[l];
-                    }
-                }
-                AssignOp::MulAssign => {
-                    for l in 0..n {
-                        dst[l] *= rhs[l];
-                    }
+        let dst = &mut self.store.data[idx][base..base + n];
+        let rhs = &self.stack[top..top + n];
+        // Assign-op match hoisted out of the stripe loop; per element
+        // identical to `AssignOp::apply`.
+        match s.op {
+            AssignOp::Assign => dst.copy_from_slice(rhs),
+            AssignOp::AddAssign => {
+                for l in 0..n {
+                    dst[l] += rhs[l];
                 }
             }
-        } else {
-            // Dead lanes keep their stripes frozen at the death point.
-            for l in 0..n {
-                if self.live[l] {
-                    let slot = &mut col[base + l];
-                    *slot = s.op.apply(*slot, self.stack[top + l]);
+            AssignOp::SubAssign => {
+                for l in 0..n {
+                    dst[l] -= rhs[l];
+                }
+            }
+            AssignOp::MulAssign => {
+                for l in 0..n {
+                    dst[l] *= rhs[l];
                 }
             }
         }
@@ -576,7 +479,7 @@ impl<'c> BatchMachine<'c, '_> {
     }
 
     #[inline]
-    fn iteration(&mut self, l: &'c CLoop, v: i64) -> Result<(), Halt> {
+    fn iteration(&mut self, l: &'c CLoop, v: i64) -> Result<(), ExecError> {
         self.frame[l.slot as usize] = v;
         for child in l.body.iter() {
             self.exec_node(child)?;
@@ -584,11 +487,8 @@ impl<'c> BatchMachine<'c, '_> {
         Ok(())
     }
 
-    fn exec_loop(&mut self, l: &'c CLoop) -> Result<(), Halt> {
-        let b = match &l.bounds {
-            Ok(b) => b,
-            Err(e) => return Err(self.halt_all(e.into())),
-        };
+    fn exec_loop(&mut self, l: &'c CLoop) -> Result<(), ExecError> {
+        let b = l.bounds.as_ref().map_err(ExecError::from)?;
         let (lb, ub, step) = (b.lb.eval(&self.frame), b.ub.eval(&self.frame), b.step);
         if ub < lb {
             return Ok(());
@@ -634,17 +534,14 @@ impl<'c> BatchMachine<'c, '_> {
         Ok(())
     }
 
-    fn exec_node(&mut self, n: &'c CNode) -> Result<(), Halt> {
+    fn exec_node(&mut self, n: &'c CNode) -> Result<(), ExecError> {
         match n {
             CNode::Stmt(s) => self.exec_stmt(s),
             CNode::Loop(l) => self.exec_loop(l),
             CNode::If { conds, then } => {
                 let mut taken = true;
                 for cond in conds.iter() {
-                    let (lhs, op, rhs) = match cond {
-                        Ok(c) => c,
-                        Err(e) => return Err(self.halt_all(e.into())),
-                    };
+                    let (lhs, op, rhs) = cond.as_ref().map_err(ExecError::from)?;
                     if !op.eval(lhs.eval(&self.frame), rhs.eval(&self.frame)) {
                         taken = false;
                         break;
@@ -678,15 +575,14 @@ mod tests {
     }
 
     /// Runs one lane per init (every non-local array filled with it)
-    /// batched, and each lane's input through the reference walker with
-    /// that lane's budget, and asserts bit-identical per-lane outcomes and
-    /// stores.
+    /// batched, and each lane's input through the reference walker, and
+    /// asserts that every lane's outcome and store are bit-identical to
+    /// its reference run. Returns the batch's one outcome.
     fn assert_lanes_match_reference(
         p: &Program,
         inits: &[InitKind],
         cfg: &ExecConfig,
-        budgets: Option<&[u64]>,
-    ) {
+    ) -> Result<ExecStats, ExecError> {
         let specs: Vec<InputSpec> = inits
             .iter()
             .map(|init| {
@@ -698,18 +594,14 @@ mod tests {
             })
             .collect();
         let mut batch = BatchStore::from_inputs(p, &specs);
-        let results = CompiledProgram::compile(p).run_batched(&mut batch, cfg, budgets);
+        let outcome = CompiledProgram::compile(p).run_batched(&mut batch, cfg);
         for (lane, spec) in specs.iter().enumerate() {
             let mut store = ArrayStore::from_program(p);
             for (name, init) in spec {
                 store.get_mut(name).unwrap().fill(init);
             }
-            let rcfg = ExecConfig {
-                stmt_budget: budgets.map_or(cfg.stmt_budget, |b| b[lane]),
-                parallel_order: cfg.parallel_order,
-            };
-            let r = run_with_store_reference(p, &mut store, &rcfg);
-            assert_eq!(r, results[lane], "lane {lane} outcome diverges");
+            let r = run_with_store_reference(p, &mut store, cfg);
+            assert_eq!(r, outcome, "lane {lane} outcome diverges");
             let got = batch.lane_store(lane);
             assert_eq!(got.len(), store.len(), "lane {lane} store size");
             for (name, da) in store.iter() {
@@ -724,6 +616,7 @@ mod tests {
                 }
             }
         }
+        outcome
     }
 
     #[test]
@@ -739,40 +632,54 @@ mod tests {
                 m: 113,
             },
         ];
-        assert_lanes_match_reference(&p, &inits, &ExecConfig::default(), None);
+        let stats = assert_lanes_match_reference(&p, &inits, &ExecConfig::default()).unwrap();
+        assert_eq!(stats.stmts_executed, 512);
     }
 
+    /// A budget stops every lane at the same statement, first thing in
+    /// the run, mid-run, and one statement short of the end, with each
+    /// lane's partial store frozen there.
     #[test]
-    fn heterogeneous_budgets_drop_lanes_independently() {
+    fn a_budget_stops_every_lane_at_one_statement() {
         let p = gemm();
         let inits = [
             InitKind::default_pattern(),
             InitKind::Constant(2.0),
             InitKind::Zero,
         ];
-        // Lane 0 dies almost immediately, lane 1 mid-run, lane 2 survives.
-        let budgets = [3u64, 100, u64::MAX];
-        assert_lanes_match_reference(&p, &inits, &ExecConfig::default(), Some(&budgets));
+        for budget in [0, 3, 100, 511] {
+            let cfg = ExecConfig {
+                stmt_budget: budget,
+                ..Default::default()
+            };
+            assert_eq!(
+                assert_lanes_match_reference(&p, &inits, &cfg),
+                Err(ExecError::BudgetExceeded { budget })
+            );
+        }
     }
 
+    /// A fault stops every lane at the faulting statement; a budget that
+    /// runs out first wins, as it does in a scalar run.
     #[test]
-    fn all_lanes_exhausted_early_exits_with_per_lane_budgets() {
-        let p = gemm();
-        let inits = [InitKind::Zero, InitKind::Constant(1.0)];
-        let budgets = [5u64, 9];
-        assert_lanes_match_reference(&p, &inits, &ExecConfig::default(), Some(&budgets));
-    }
-
-    #[test]
-    fn global_fault_latches_all_live_lanes() {
+    fn a_fault_stops_every_lane_at_one_statement() {
         let p = program(
             "param N = 4;\narray A[N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) A[i + 1] = 1.0;\n#pragma endscop\n",
         );
-        // Lane 0 exceeds its budget before the out-of-bounds access and
-        // must keep the budget error; lane 1 reaches the fault.
         let inits = [InitKind::Zero, InitKind::Constant(1.0)];
-        let budgets = [2u64, u64::MAX];
-        assert_lanes_match_reference(&p, &inits, &ExecConfig::default(), Some(&budgets));
+        let fault = assert_lanes_match_reference(&p, &inits, &ExecConfig::default());
+        assert!(
+            matches!(fault, Err(ExecError::OutOfBounds { .. })),
+            "{fault:?}"
+        );
+        let cfg = ExecConfig {
+            stmt_budget: 2,
+            ..Default::default()
+        };
+        assert_eq!(
+            assert_lanes_match_reference(&p, &inits, &cfg),
+            Err(ExecError::BudgetExceeded { budget: 2 })
+        );
     }
 
     #[test]
@@ -786,7 +693,7 @@ mod tests {
                 parallel_order: order,
                 ..Default::default()
             };
-            assert_lanes_match_reference(&p, &inits, &cfg, None);
+            assert_lanes_match_reference(&p, &inits, &cfg).unwrap();
         }
     }
 
@@ -797,7 +704,7 @@ mod tests {
         let inputs = [vec![], vec![("A".into(), InitKind::Constant(1.5))]];
         let mut batch = BatchStore::from_inputs(&p, &inputs);
         let cp = CompiledProgram::compile(&p);
-        cp.run_batched(&mut batch, &ExecConfig::default(), None);
+        cp.run_batched(&mut batch, &ExecConfig::default()).unwrap();
         for lane in 0..2 {
             let store = batch.lane_store(lane);
             assert_eq!(
@@ -834,7 +741,9 @@ mod tests {
             vec![("B".into(), InitKind::Constant(2.0))],
         ];
         let mut batch = BatchStore::from_inputs(&p, &inputs);
-        CompiledProgram::compile(&p).run_batched(&mut batch, &ExecConfig::default(), None);
+        CompiledProgram::compile(&p)
+            .run_batched(&mut batch, &ExecConfig::default())
+            .unwrap();
         let all = batch.checksum_lanes(&outputs);
         for (lane, sum) in all.iter().enumerate() {
             assert_eq!(
@@ -856,7 +765,9 @@ mod tests {
             vec![("B".into(), InitKind::Zero)],
         ];
         let mut batch = BatchStore::from_inputs(&p, &inputs);
-        CompiledProgram::compile(&p).run_batched(&mut batch, &ExecConfig::default(), None);
+        CompiledProgram::compile(&p)
+            .run_batched(&mut batch, &ExecConfig::default())
+            .unwrap();
         let before: Vec<ArrayStore> = (0..3).map(|lane| batch.lane_store(lane)).collect();
         let keep = vec!["C".to_string(), "B".to_string()];
         batch.retain_arrays(&keep);
@@ -936,12 +847,19 @@ mod tests {
         }
     }
 
+    /// A batch without lanes writes nothing; its outcome is still the
+    /// control flow's, the same as a one-lane run's.
     #[test]
     fn zero_lanes_is_a_no_op() {
         let p = gemm();
+        let cp = CompiledProgram::compile(&p);
         let mut batch = BatchStore::from_inputs(&p, &[]);
-        let results =
-            CompiledProgram::compile(&p).run_batched(&mut batch, &ExecConfig::default(), None);
-        assert!(results.is_empty());
+        let one_lane = cp.run_batched(
+            &mut BatchStore::from_inputs(&p, &[vec![]]),
+            &ExecConfig::default(),
+        );
+        assert_eq!(cp.run_batched(&mut batch, &ExecConfig::default()), one_lane);
+        assert_eq!(batch.lanes(), 0);
+        assert_eq!(batch.checksum_lanes(&p.outputs), Vec::<f64>::new());
     }
 }

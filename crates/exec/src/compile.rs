@@ -265,9 +265,7 @@ mod tests {
         let mut s_ref = ArrayStore::from_program(p);
         let r_ref = run_with_store_reference(p, &mut s_ref, cfg);
         let mut batch = BatchStore::from_inputs(p, &[vec![]]);
-        let r_new = CompiledProgram::compile(p)
-            .run_batched(&mut batch, cfg, None)
-            .remove(0);
+        let r_new = CompiledProgram::compile(p).run_batched(&mut batch, cfg);
         assert_eq!(r_ref, r_new, "engine outcomes diverge");
         let s_new = batch.lane_store(0);
         assert_eq!(s_ref.len(), s_new.len());
@@ -503,7 +501,7 @@ mod tests {
         for fill in [0.0, 1.5, -3.0] {
             let input = vec![("A".to_string(), InitKind::Constant(fill))];
             let mut store = BatchStore::from_inputs(&p, &[input]);
-            cp.run_batched(&mut store, &cfg, None).remove(0).unwrap();
+            cp.run_batched(&mut store, &cfg).unwrap();
             assert!(store
                 .lane_store(0)
                 .get("A")

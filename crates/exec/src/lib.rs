@@ -4,9 +4,10 @@
 //! oracle: programs are compiled once
 //! to a bytecode form ([`CompiledProgram`]) and run by one interpreter,
 //! the lane engine ([`CompiledProgram::run_batched`]), which runs many
-//! inputs of one program as the lanes of a [`BatchStore`]. Every lane is
-//! validated against the reference tree-walking interpreter
-//! ([`run_with_store_reference`]).
+//! inputs of one program as the lanes of a [`BatchStore`]. Control flow
+//! never reads array data, so all lanes run the same statements and the
+//! batch has one outcome; every lane is validated against the reference
+//! tree-walking interpreter ([`run_with_store_reference`]).
 //!
 //! Programs are lowered **once** — array names interned to dense ids,
 //! symbols resolved to frame slots, RHS expressions flattened to a
@@ -27,9 +28,9 @@
 //! let compiled = CompiledProgram::compile(&p);
 //! let inputs = [vec![], vec![("A".to_string(), InitKind::Constant(2.0))]];
 //! let mut lanes = BatchStore::from_inputs(&p, &inputs);
-//! for outcome in compiled.run_batched(&mut lanes, &ExecConfig::default(), None) {
-//!     outcome?;
-//! }
+//! // One outcome for the batch: every lane runs the same statements.
+//! let stats = compiled.run_batched(&mut lanes, &ExecConfig::default())?;
+//! assert_eq!(stats.stmts_executed, 4);
 //! assert_eq!(lanes.lane_store(0), store);
 //! assert_eq!(lanes.lane_store(1).get("A").unwrap().data, vec![3.0; 4]);
 //! # Ok::<(), Box<dyn std::error::Error>>(())

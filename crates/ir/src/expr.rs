@@ -113,11 +113,6 @@ impl AffineExpr {
         None
     }
 
-    /// Number of symbols with non-zero coefficients.
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
-    }
-
     /// True when `name` occurs with non-zero coefficient.
     pub fn uses(&self, name: &str) -> bool {
         self.terms.contains_key(name)
@@ -139,11 +134,6 @@ impl AffineExpr {
             }
         }
         out
-    }
-
-    /// Renames symbol `from` to `to`.
-    pub fn rename(&self, from: &str, to: &str) -> AffineExpr {
-        self.substitute(from, &AffineExpr::var(to))
     }
 
     fn scale_in_place(&mut self, factor: i64) {
@@ -310,15 +300,6 @@ impl Bound {
     pub fn floor_div(self, divisor: i64) -> Bound {
         assert!(divisor > 0, "floord divisor must be positive");
         Bound::FloorDiv(Box::new(self), divisor)
-    }
-
-    /// Returns the affine payload when this bound is a plain affine
-    /// expression.
-    pub fn as_affine(&self) -> Option<&AffineExpr> {
-        match self {
-            Bound::Affine(e) => Some(e),
-            _ => None,
-        }
     }
 
     /// Evaluates the bound under `env`.

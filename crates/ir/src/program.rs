@@ -523,21 +523,6 @@ impl Program {
         }
         names
     }
-
-    /// Total element count across all declared non-local arrays, under
-    /// default parameter values. Used for sizing test inputs.
-    pub fn total_elements(&self) -> usize {
-        let env = self.param_env();
-        self.arrays
-            .iter()
-            .filter(|a| !a.local)
-            .map(|a| {
-                a.extents(&env)
-                    .map(|e| e.iter().product::<i64>().max(1) as usize)
-                    .unwrap_or(1)
-            })
-            .sum()
-    }
 }
 
 /// Largest `floord` divisor appearing in any loop bound of `p`

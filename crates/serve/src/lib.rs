@@ -86,7 +86,6 @@ use looprag_synth::Dataset;
 use looprag_trace::Recorder;
 use serde::Value;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Current snapshot format version.
 const SNAPSHOT_VERSION: i64 = 1;
@@ -771,56 +770,6 @@ impl Server {
             arm_fp,
             stats: ServeStats::default(),
         })
-    }
-}
-
-/// A thread-safe wrapper: the whole server sits behind one mutex (the
-/// *service lock*), so knowledge-base ingestion and memo commits are
-/// serialized while each batch still fans out over the worker pool
-/// internally.
-pub struct Service {
-    inner: Mutex<Server>,
-}
-
-impl Service {
-    /// Wraps a server.
-    pub fn new(server: Server) -> Self {
-        Service {
-            inner: Mutex::new(server),
-        }
-    }
-
-    /// Serves one batch under the service lock.
-    pub fn submit(&self, requests: &[Request]) -> Vec<Response> {
-        self.inner.lock().expect("service lock").submit(requests)
-    }
-
-    /// Commits the epoch under the service lock.
-    pub fn commit_epoch(&self) -> usize {
-        self.inner.lock().expect("service lock").commit_epoch()
-    }
-
-    /// Snapshots under the service lock.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Server::snapshot`] failures.
-    pub fn snapshot(&self) -> Result<String, String> {
-        self.inner.lock().expect("service lock").snapshot()
-    }
-
-    /// Runs `f` with the locked server, for inspection.
-    pub fn with<R>(&self, f: impl FnOnce(&Server) -> R) -> R {
-        f(&self.inner.lock().expect("service lock"))
-    }
-
-    /// Unwraps the inner server.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the lock is poisoned.
-    pub fn into_inner(self) -> Server {
-        self.inner.into_inner().expect("service lock")
     }
 }
 

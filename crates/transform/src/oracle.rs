@@ -21,9 +21,10 @@
 //! [`CompiledProgram::run_batched`] sweep: lane 0 holds the program's own
 //! inits (an empty [`InputSpec`]), lane `k ≥ 1` every non-local array
 //! filled with `cfg.extra_inits[k - 1]` ([`BatchStore::from_inputs`]).
-//! Control flow is data-independent, so one sweep runs every image; the
-//! candidate gets one sweep per order of [`ParallelOrder::probes`], and
-//! each lane is compared with [`BatchStore::element_diff_lane`].
+//! Control flow is data-independent, so one sweep runs every image and
+//! has one outcome; the candidate gets one sweep per order of
+//! [`ParallelOrder::probes`], and each lane is compared with
+//! [`BatchStore::element_diff_lane`].
 //!
 //! # Memo lifetime
 //!
@@ -253,8 +254,9 @@ impl<'a> OracleTarget<'a> {
                     stmt_budget: self.cfg.stmt_budget,
                     parallel_order: ParallelOrder::Forward,
                 };
-                let runs = CompiledProgram::compile(&orig).run_batched(&mut store, &cfg, None);
-                let ok = runs.iter().all(Result::is_ok);
+                let ok = CompiledProgram::compile(&orig)
+                    .run_batched(&mut store, &cfg)
+                    .is_ok();
                 self.memo.push((cap, ok.then_some(store)));
                 self.memo.len() - 1
             }
@@ -286,10 +288,7 @@ impl<'a> OracleTarget<'a> {
                 stmt_budget: cfg.stmt_budget,
                 parallel_order: order,
             };
-            compiled
-                .run_batched(&mut store, &ecfg, None)
-                .iter()
-                .all(Result::is_ok)
+            compiled.run_batched(&mut store, &ecfg).is_ok()
                 && (0..store.lanes()).all(|lane| {
                     expected
                         .element_diff_lane(lane, &store, lane, &original.outputs, cfg.rel_eps)

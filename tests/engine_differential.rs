@@ -2,19 +2,20 @@
 //! tree-walker.
 //!
 //! The lane engine ([`CompiledProgram::run_batched`]) is the one
-//! production interpreter behind every pipeline verdict; these tests pin
-//! every lane of it to a reference run of that lane's input and budget,
-//! bit-for-bit: identical stores (to the last mantissa bit, the partial
-//! stores of lanes that fault or exhaust their budget mid-batch
-//! included), identical `stmts_executed`, and identical errors — across all 134 suite kernels, all parallel
-//! iteration orders, the eqcheck seed inputs, and randomly synthesized
-//! programs. A single run is the one-lane case. Batched
-//! `differential_test` verdicts must equal the reference oracle on every
-//! kernel.
+//! production interpreter behind every pipeline verdict. A batch has one
+//! outcome, since every lane runs the same statements; these tests pin
+//! every lane of it to a reference run of that lane's input, bit-for-bit:
+//! identical stores (to the last mantissa bit, the partial stores of a
+//! batch that faults or exhausts its budget mid-run included), identical
+//! `stmts_executed`, and identical errors — across all 134 suite
+//! kernels, all parallel iteration orders, the eqcheck seed inputs, and
+//! randomly synthesized programs. A single run is the one-lane case.
+//! Batched `differential_test` verdicts must equal the reference oracle
+//! on every kernel.
 
 use looprag::looprag_eqcheck::{
     build_test_suite, differential_test, differential_test_reference, seed_inputs, EqCheckConfig,
-    TestVerdict,
+    PreparedTarget, TestVerdict,
 };
 use looprag::looprag_exec::{
     run_with_store_reference, ArrayStore, BatchStore, CompiledProgram, ExecConfig, ExecError,
@@ -50,20 +51,15 @@ fn assert_stores_bit_identical(a: &ArrayStore, b: &ArrayStore, ctx: &str) {
 
 /// Runs `p` batched with one lane per input and asserts every lane is
 /// bit-identical (outcome and store) to a reference run of that input
-/// with that lane's budget. Returns the per-lane outcomes.
+/// under `cfg`. Returns the batch's one outcome.
 fn assert_lanes_match_reference(
     p: &Program,
     inputs: &[InputSpec],
-    order: ParallelOrder,
-    budgets: &[u64],
+    cfg: &ExecConfig,
     ctx: &str,
-) -> Vec<Result<ExecStats, ExecError>> {
+) -> Result<ExecStats, ExecError> {
     let mut batch = BatchStore::from_inputs(p, inputs);
-    let bcfg = ExecConfig {
-        stmt_budget: u64::MAX,
-        parallel_order: order,
-    };
-    let results = CompiledProgram::compile(p).run_batched(&mut batch, &bcfg, Some(budgets));
+    let outcome = CompiledProgram::compile(p).run_batched(&mut batch, cfg);
     for (lane, input) in inputs.iter().enumerate() {
         let mut store = ArrayStore::from_program(p);
         for (name, init) in input {
@@ -71,13 +67,9 @@ fn assert_lanes_match_reference(
                 arr.fill(init);
             }
         }
-        let rcfg = ExecConfig {
-            stmt_budget: budgets[lane],
-            parallel_order: order,
-        };
-        let reference = run_with_store_reference(p, &mut store, &rcfg);
+        let reference = run_with_store_reference(p, &mut store, cfg);
         assert_eq!(
-            reference, results[lane],
+            reference, outcome,
             "{ctx} lane {lane}: batched outcome diverges from the reference"
         );
         assert_stores_bit_identical(
@@ -86,19 +78,13 @@ fn assert_lanes_match_reference(
             &format!("{ctx} lane {lane}"),
         );
     }
-    results
+    outcome
 }
 
 /// [`assert_lanes_match_reference`] for one lane holding the program's
 /// own inits.
 fn assert_one_lane_matches_reference(p: &Program, cfg: &ExecConfig, ctx: &str) {
-    assert_lanes_match_reference(
-        p,
-        &[InputSpec::new()],
-        cfg.parallel_order,
-        &[cfg.stmt_budget],
-        ctx,
-    );
+    let _ = assert_lanes_match_reference(p, &[InputSpec::new()], cfg, ctx);
 }
 
 /// Every suite kernel, every eqcheck seed input run alone as one lane:
@@ -120,15 +106,7 @@ fn all_suite_kernels_match_reference_on_seed_inputs() {
         let p = scaled_clone(&b.program(), 10);
         for (k, input) in seed_inputs(&p).into_iter().enumerate() {
             let ctx = format!("{} input {k}", b.name);
-            let results = assert_lanes_match_reference(
-                &p,
-                &[input],
-                cfg.parallel_order,
-                &[cfg.stmt_budget],
-                &ctx,
-            );
-            let stats = results[0]
-                .as_ref()
+            let stats = assert_lanes_match_reference(&p, &[input], &cfg, &ctx)
                 .unwrap_or_else(|e| panic!("{ctx}: kernel faulted: {e}"));
             assert!(stats.stmts_executed > 0, "{ctx}: executed nothing");
         }
@@ -150,10 +128,14 @@ fn batched_lanes_match_scalar_on_all_suite_kernels() {
     for b in &benchmarks {
         let p = scaled_clone(&b.program(), 10);
         let inputs = seed_inputs(&p);
-        let budgets = vec![5_000_000u64; inputs.len()];
         for order in ParallelOrder::ALL {
+            let cfg = ExecConfig {
+                stmt_budget: 5_000_000,
+                parallel_order: order,
+            };
             let ctx = format!("{} order {order:?}", b.name);
-            assert_lanes_match_reference(&p, &inputs, order, &budgets, &ctx);
+            assert_lanes_match_reference(&p, &inputs, &cfg, &ctx)
+                .unwrap_or_else(|e| panic!("{ctx}: kernel faulted: {e}"));
         }
     }
 }
@@ -231,35 +213,74 @@ fn batched_difftest_verdicts_match_oracles_on_all_suite_kernels() {
     }
 }
 
-/// Regression (vacuous Pass): a ground truth faulting on every suite
-/// input must yield a distinguishable failure, not `Pass`, through the
-/// public batched entry point.
+/// Regression (vacuous Pass): a ground truth that faults or exhausts
+/// its budget on every suite input must yield a distinguishable
+/// failure, not `Pass`, through the public batched entry points.
 #[test]
 fn ground_truth_failure_is_a_runtime_error_not_pass() {
-    let ok = looprag::looprag_ir::compile(
+    let compile = |src: &str| looprag::looprag_ir::compile(src, "k").unwrap();
+    let ok = compile(
         "param N = 24;\narray A[N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) A[i] = A[i] + 1.0;\n#pragma endscop\n",
-        "ok",
-    )
-    .unwrap();
-    let oob = looprag::looprag_ir::compile(
+    );
+    let oob = compile(
         "param N = 24;\narray A[N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) A[i + 1] = A[i] + 1.0;\n#pragma endscop\n",
-        "oob",
-    )
-    .unwrap();
-    let cfg = EqCheckConfig::default();
+    );
+    // 8^4 statements at the sampling cap: over the budget below.
+    let slow = compile(
+        "param N = 24;\narray A[N];\nout A;\n#pragma scop\nfor (a = 0; a <= N - 1; a++) for (b = 0; b <= N - 1; b++) for (c = 0; c <= N - 1; c++) for (d = 0; d <= N - 1; d++) A[a] += 1.0;\n#pragma endscop\n",
+    );
+    let cfg = EqCheckConfig {
+        stmt_budget: 1_000,
+        ..Default::default()
+    };
     let suite = build_test_suite(&ok, &cfg);
-    for verdict in [
-        differential_test(&oob, &ok, &suite, &cfg),
-        differential_test_reference(&oob, &ok, &suite, &cfg),
-    ] {
-        assert!(
-            matches!(
-                verdict,
-                TestVerdict::RuntimeError { ref message } if message.contains("ground truth failed")
-            ),
-            "expected ground-truth runtime error, got {verdict:?}"
-        );
+    for original in [&oob, &slow] {
+        for verdict in [
+            differential_test(original, &ok, &suite, &cfg),
+            differential_test_reference(original, &ok, &suite, &cfg),
+            PreparedTarget::prepare(original, &cfg).differential_test(&ok, &cfg),
+        ] {
+            assert!(
+                matches!(
+                    verdict,
+                    TestVerdict::RuntimeError { ref message } if message.contains("ground truth failed")
+                ),
+                "expected ground-truth runtime error, got {verdict:?}"
+            );
+        }
     }
+}
+
+/// A candidate that runs more statements than its original times out
+/// under a budget the original fits: the batched verdict is `Timeout`,
+/// as the reference oracle's is.
+#[test]
+fn a_candidate_over_the_budget_times_out_like_the_reference() {
+    let compile = |src: &str| looprag::looprag_ir::compile(src, "k").unwrap();
+    let original = compile(
+        "param N = 24;\narray A[N];\nout A;\n#pragma scop\nfor (i = 0; i <= N - 1; i++) A[i] = A[i] + 1.0;\n#pragma endscop\n",
+    );
+    // The original's loop plus a 4-deep nest that adds zero.
+    let longer = compile(
+        "param N = 24;\narray A[N];\nout A;\n#pragma scop\nfor (a = 0; a <= N - 1; a++) for (b = 0; b <= N - 1; b++) for (c = 0; c <= N - 1; c++) for (d = 0; d <= N - 1; d++) A[a] += 0.0;\nfor (i = 0; i <= N - 1; i++) A[i] = A[i] + 1.0;\n#pragma endscop\n",
+    );
+    let cfg = EqCheckConfig {
+        stmt_budget: 1_000,
+        ..Default::default()
+    };
+    let suite = build_test_suite(&original, &cfg);
+    let reference = differential_test_reference(&original, &longer, &suite, &cfg);
+    assert_eq!(reference, TestVerdict::Timeout);
+    assert_eq!(
+        differential_test(&original, &longer, &suite, &cfg),
+        reference
+    );
+    let prepared = PreparedTarget::prepare(&original, &cfg);
+    assert_eq!(prepared.differential_test(&longer, &cfg), reference);
+    assert_eq!(
+        prepared.differential_test(&original, &cfg),
+        TestVerdict::Pass
+    );
 }
 
 proptest! {
@@ -299,29 +320,27 @@ proptest! {
         }
     }
 
-    /// Synthesized programs run batched with *heterogeneous* per-lane
-    /// budgets: some lanes exhaust their budget (or hit a fault) and
-    /// drop out mid-batch while others run to completion; every lane
-    /// must still match its reference run bit-for-bit, frozen partial
-    /// stores included.
+    /// Synthesized programs run with every seed input as a lane under
+    /// one budget that stops the run at the first statement, mid-run, or
+    /// never: in every order each lane must match its reference run
+    /// bit-for-bit, the partial stores of a stopped or faulting batch
+    /// included.
     #[test]
-    fn batched_lane_dropout_matches_scalar(seed in 0u64..10_000, budget in 1u64..400) {
+    fn batched_lanes_under_one_budget_match_scalar(seed in 0u64..10_000, budget in 1u64..400) {
         let mut rng = StdRng::seed_from_u64(seed);
         let params = LoopParams::sample(&mut rng);
         if let Some(p) = generate_example(&params, 0, &mut rng) {
             let small = scaled_clone(&p, 8);
             let inputs = seed_inputs(&small);
-            // One tiny budget (dies almost immediately), one mid-range,
-            // one that tracks the sampled value, one effectively
-            // unlimited — exercising dropout at different batch depths.
-            let budgets: Vec<u64> = [1, budget, budget * 3, u64::MAX]
-                .into_iter()
-                .cycle()
-                .take(inputs.len())
-                .collect();
-            for order in ParallelOrder::ALL {
-                let ctx = format!("seed {seed} budget {budget} order {order:?}");
-                assert_lanes_match_reference(&small, &inputs, order, &budgets, &ctx);
+            for stmt_budget in [1, budget, budget * 3, u64::MAX] {
+                for order in ParallelOrder::ALL {
+                    let cfg = ExecConfig {
+                        stmt_budget,
+                        parallel_order: order,
+                    };
+                    let ctx = format!("seed {seed} budget {stmt_budget} order {order:?}");
+                    let _ = assert_lanes_match_reference(&small, &inputs, &cfg, &ctx);
+                }
             }
         }
     }

@@ -6,7 +6,7 @@
 
 use looprag::looprag_core::LoopRagConfig;
 use looprag::looprag_llm::LlmProfile;
-use looprag::looprag_serve::{CacheStatus, Request, Server, Service};
+use looprag::looprag_serve::{CacheStatus, Request, Server};
 use looprag::looprag_suites::{suite, Suite};
 use looprag::looprag_synth::{build_dataset, Dataset, SynthConfig};
 
@@ -131,17 +131,6 @@ fn invalid_requests_are_rejected_without_polluting_the_memo() {
     let out = server.submit(&[bad]);
     assert_eq!(out[0].cache, CacheStatus::Rejected);
     assert_eq!(server.stats().rejected, 2);
-}
-
-#[test]
-fn service_wrapper_shares_the_memo_across_callers() {
-    let service = Service::new(Server::new(config(false), dataset(), 1));
-    let first = service.submit(&tsvc_requests(1, "caller1"));
-    let second = service.submit(&tsvc_requests(1, "caller2"));
-    assert_eq!(first[0].cache, CacheStatus::Miss);
-    assert_eq!(second[0].cache, CacheStatus::Hit);
-    assert_eq!(second[0].speedup.to_bits(), first[0].speedup.to_bits());
-    assert_eq!(service.with(Server::memo_len), 1);
 }
 
 /// The default search, default LLM arm and serve-hybrid arm
