@@ -636,9 +636,9 @@ mod tests {
         assert_eq!(stats.stmts_executed, 512);
     }
 
-    /// A budget stops every lane at the same statement, first thing in
-    /// the run, mid-run, and one statement short of the end, with each
-    /// lane's partial store frozen there.
+    /// A budget stops every lane at the same statement, mid-run and one
+    /// statement short of the end, with each lane's partial store frozen
+    /// there.
     #[test]
     fn a_budget_stops_every_lane_at_one_statement() {
         let p = gemm();
@@ -647,7 +647,7 @@ mod tests {
             InitKind::Constant(2.0),
             InitKind::Zero,
         ];
-        for budget in [0, 3, 100, 511] {
+        for budget in [3, 100, 511] {
             let cfg = ExecConfig {
                 stmt_budget: budget,
                 ..Default::default()
@@ -657,6 +657,31 @@ mod tests {
                 Err(ExecError::BudgetExceeded { budget })
             );
         }
+    }
+
+    /// A budget that runs out in the first statements stops every lane
+    /// there (a budget of 0 before any statement), and a budget of exactly
+    /// the run's statements lets every lane finish.
+    #[test]
+    fn all_lanes_stop_early_under_one_budget() {
+        let p = gemm();
+        let inits = [InitKind::Zero, InitKind::Constant(1.0)];
+        for budget in [0, 5, 9] {
+            let cfg = ExecConfig {
+                stmt_budget: budget,
+                ..Default::default()
+            };
+            assert_eq!(
+                assert_lanes_match_reference(&p, &inits, &cfg),
+                Err(ExecError::BudgetExceeded { budget })
+            );
+        }
+        let cfg = ExecConfig {
+            stmt_budget: 512,
+            ..Default::default()
+        };
+        let stats = assert_lanes_match_reference(&p, &inits, &cfg).unwrap();
+        assert_eq!(stats.stmts_executed, 512);
     }
 
     /// A fault stops every lane at the faulting statement; a budget that
